@@ -284,8 +284,9 @@ type aggGroup struct {
 	rand []*bundle.Tuple
 	// outRow is the group's HAVING scratch row (group columns followed by
 	// aggregate columns), allocated once with the key prefix prefilled so
-	// the per-version loop only overwrites the aggregate slots — keeping
-	// EvalVersion at 0 allocs/version. Nil without a HAVING clause.
+	// the include step only overwrites the aggregate slots — keeping
+	// EvalVersion and EvalWindow at 0 allocs/version. Nil without a HAVING
+	// clause.
 	outRow types.Row
 }
 
@@ -583,18 +584,26 @@ func (ev *AggEval) EvalVersion(b bundle.Binding, out [][]float64, include []bool
 			out[g][a] = ev.states[a].Value(spec.Kind)
 		}
 		if include != nil {
-			ok := true
-			if ev.having != nil {
-				nk := len(ev.agg.GroupBy)
-				for a := range ev.agg.Aggs {
-					grp.outRow[nk+a] = types.NewFloat(out[g][a])
-				}
-				ok = ev.having.EvalBool(grp.outRow)
-			}
-			include[g] = ok
+			include[g] = ev.included(g, out[g])
 		}
 	}
 	return nil
+}
+
+// included is the HAVING step shared by EvalVersion and EvalWindow: it
+// writes one version's aggregate values (select-list order) into group
+// g's prefilled outRow after the key prefix and evaluates the compiled
+// HAVING predicate, NULL counting as false. Always true without HAVING.
+func (ev *AggEval) included(g int, vals []float64) bool {
+	if ev.having == nil {
+		return true
+	}
+	row := ev.groups[g].outRow
+	nk := len(ev.agg.GroupBy)
+	for a, x := range vals {
+		row[nk+a] = types.NewFloat(x)
+	}
+	return ev.having.EvalBool(row)
 }
 
 // winEval is the window-major evaluator's per-run state (DESIGN.md §13):
@@ -610,6 +619,7 @@ type winEval struct {
 	vnull     []bool
 	sums      [][]float64 // per aggregate × version running state
 	counts    [][]int64
+	vals      []float64 // one version's aggregate values, for HAVING
 }
 
 func (we *winEval) ensure(n int) {
@@ -635,6 +645,7 @@ func (ev *AggEval) buildWinEval() bool {
 		aggKerns: make([]*expr.Kernel, len(ev.agg.Aggs)),
 		sums:     make([][]float64, len(ev.agg.Aggs)),
 		counts:   make([][]int64, len(ev.agg.Aggs)),
+		vals:     make([]float64, len(ev.agg.Aggs)),
 	}
 	for i, spec := range ev.agg.Aggs {
 		if spec.Expr == nil {
@@ -684,17 +695,21 @@ func windowIdentity(ws *Workspace, id uint64, n int) bool {
 // aggregate, version) the additions happen in exactly the order
 // EvalVersion performs them — deterministic base first, then random
 // tuples in plan order — so the results are bit-for-bit identical.
+// include is EvalVersion's HAVING output widened to the window
+// (include[g][v], pre-sized [NumGroups][n]); nil when the query has no
+// HAVING. Once a group's lanes are final, each version's values go
+// through the same include step as EvalVersion — HAVING runs per group
+// per version on finished aggregates, so it needs no kernel.
 //
 // ok=false means window-major evaluation does not apply to this run —
-// HAVING needs per-version inclusion (version-major only), kernels are
-// disabled, an expression cannot be lowered, or some seed's assignment /
-// window / presence coverage is not the contiguous identity layout (e.g.
-// n exceeds the materialized window, or a replenishing run left sparse
-// positions). out may then be part-written; the caller must run the
-// version-major path, which overwrites every slot and raises
-// ErrNotMaterialized/replenishes exactly as before.
-func (ev *AggEval) EvalWindow(ws *Workspace, n int, out [][][]float64) (bool, error) {
-	if ev.having != nil || !ev.kernelsOn || ev.winBad || n < 1 {
+// kernels are disabled, an expression cannot be lowered, or some seed's
+// assignment / window / presence coverage is not the contiguous identity
+// layout (e.g. n exceeds the materialized window, or a replenishing run
+// left sparse positions). out and include may then be part-written; the
+// caller must run the version-major path, which overwrites every slot and
+// raises ErrNotMaterialized/replenishes exactly as before.
+func (ev *AggEval) EvalWindow(ws *Workspace, n int, out [][][]float64, include [][]bool) (bool, error) {
+	if !ev.kernelsOn || ev.winBad || n < 1 {
 		return false, nil
 	}
 	// Every referenced seed must be in identity layout, and every presence
@@ -807,6 +822,14 @@ func (ev *AggEval) EvalWindow(ws *Workspace, n int, out [][][]float64) (bool, er
 			dst, sums, counts := out[g][a], we.sums[a], we.counts[a]
 			for v := 0; v < n; v++ {
 				dst[v] = AggState{Sum: sums[v], Count: counts[v]}.Value(spec.Kind)
+			}
+		}
+		if include != nil {
+			for v := 0; v < n; v++ {
+				for a := range we.vals {
+					we.vals[a] = out[g][a][v]
+				}
+				include[g][v] = ev.included(g, we.vals)
 			}
 		}
 	}

@@ -56,9 +56,9 @@ func kernelCompiles(e expr.Expr, schema *types.Schema) bool {
 
 // vectorized reports whether the operator takes a kernel path at runtime
 // (DESIGN.md §13): Select when its predicate lowers, HashJoin always
-// (probe hashes are computed batch-at-a-time), Aggregate when it has no
-// HAVING (which stays version-major) and every aggregate input lowers to
-// a numeric kernel.
+// (probe hashes are computed batch-at-a-time), Aggregate when every
+// aggregate input lowers to a numeric kernel (HAVING runs on the finished
+// per-group lanes and does not affect the choice).
 func vectorized(n Node) bool {
 	switch op := n.(type) {
 	case *Select:
@@ -66,9 +66,6 @@ func vectorized(n Node) bool {
 	case *HashJoin:
 		return true
 	case *Aggregate:
-		if op.Having != nil {
-			return false
-		}
 		schema := op.Child.Schema()
 		for _, a := range op.Aggs {
 			if a.Expr == nil {

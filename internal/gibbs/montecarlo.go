@@ -81,6 +81,10 @@ type GroupedRuns struct {
 // pipeline once per group. final is the Gibbs-looper final predicate
 // (paper App. A), applied to every tuple before aggregation.
 //
+// The window-major pass (AggEval.EvalWindow, HAVING included) runs first;
+// the version-major loop is the fallback when kernels are off, the seed
+// layout is not the identity layout, or a kernel meets a kind mismatch.
+//
 // For a single ungrouped aggregate the per-repetition arithmetic is
 // identical, operation for operation, to MonteCarlo — deterministic
 // tuples accumulate first, then random tuples in plan order — so results
@@ -120,17 +124,15 @@ func MonteCarloGrouped(ws *exec.Workspace, agg *exec.Aggregate, final expr.Expr,
 	// Window-major fast path (DESIGN.md §13): when the assignment is the
 	// contiguous identity layout (always true for sharded workers, and for
 	// sequential runs whose window covers all n replicates), evaluate every
-	// version of each tuple in one kernel pass. Bit-identical to the
-	// version-major loop below; HAVING stays version-major (per-version
-	// inclusion), and any invalid layout falls through to it.
-	if agg.Having == nil {
-		ok, err := ev.EvalWindow(ws, n, out.Samples)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			return out, nil
-		}
+	// version of each tuple in one kernel pass, then HAVING per group per
+	// version. Bit-identical to the version-major loop below, which any
+	// invalid layout falls through to.
+	ok, err := ev.EvalWindow(ws, n, out.Samples, out.Include)
+	if err != nil {
+		return nil, err
+	}
+	if ok {
+		return out, nil
 	}
 	//mcdbr:hotpath
 	for v := 0; v < n; {

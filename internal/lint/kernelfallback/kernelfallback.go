@@ -11,9 +11,9 @@
 // against is the silent one — a future operator wires a new hot loop
 // straight to the interpreter and never even asks for a kernel, and
 // every query through it quietly loses the batched path. Interpreter-
-// only sites that are deliberate (e.g. HAVING, which stays
-// version-major by design) are suppressed with
-// `//mcdbr:kernelfallback ok(reason)`.
+// only sites that are deliberate (e.g. a predicate evaluated once per
+// group per replicate, like HAVING, rather than once per tuple) are
+// suppressed with `//mcdbr:kernelfallback ok(reason)`.
 package kernelfallback
 
 import (

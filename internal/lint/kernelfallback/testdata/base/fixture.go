@@ -65,9 +65,9 @@ func coldCompileOK(e expr.Expr, schema *types.Schema, row types.Row) bool {
 	return c.EvalBool(row)
 }
 
-// The audited escape hatch for loops that stay version-major by design.
+// The audited escape hatch for loops that keep the interpreter by design.
 func suppressedInterpOK(e expr.Expr, schema *types.Schema, rows []types.Row, n int) int {
-	//mcdbr:kernelfallback ok(HAVING stays version-major per DESIGN.md §13)
+	//mcdbr:kernelfallback ok(per-group predicate over groups x replicates, too few rows for a kernel; DESIGN.md §13)
 	c := expr.MustCompile(e, schema)
 	total := 0
 	//mcdbr:hotpath

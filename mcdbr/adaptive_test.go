@@ -3,6 +3,7 @@ package mcdbr
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -49,43 +50,72 @@ func TestExecAdaptiveSQL(t *testing.T) {
 	}
 }
 
+// partlyIncluded reports whether some group passed HAVING in some but not
+// all replicates.
+func partlyIncluded(gd *GroupedDistribution) bool {
+	for _, g := range gd.Groups {
+		if g.Inclusion > 0 && g.Inclusion < 1 {
+			return true
+		}
+	}
+	return false
+}
+
 // TestAdaptiveBitIdentityAcrossWorkers: an adaptive run that stops at m
 // replicates is bit-identical to MONTECARLO(m), at every worker count.
+// The grouped HAVING case evaluates HAVING at every round's nonzero
+// replicate base ([32, 96), [96, 224), …) on the window-major path, and
+// must still reproduce the fixed run's samples and Inclusion.
 func TestAdaptiveBitIdentityAcrossWorkers(t *testing.T) {
-	e := lossEngine(t, 12, 3)
-	p, err := e.Prepare(adaptiveSQL)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct{ name, adaptive, fixed string }{
+		{"sum", adaptiveSQL, `SELECT SUM(val) FROM Losses WITH RESULTDISTRIBUTION MONTECARLO(%d)`},
+		{"grouped_having", `SELECT SUM(val) AS s, COUNT(*) AS c FROM Losses WHERE val > 3.0
+GROUP BY CID HAVING c > 0
+WITH RESULTDISTRIBUTION MONTECARLO(UNTIL ERROR < 0.05 AT 95%, MAX 8192)`,
+			`SELECT SUM(val) AS s, COUNT(*) AS c FROM Losses WHERE val > 3.0
+GROUP BY CID HAVING c > 0 WITH RESULTDISTRIBUTION MONTECARLO(%d)`},
 	}
-	var ref *ExecResult
-	for _, workers := range []int{1, 2, runtime.NumCPU()} {
-		res, err := p.Run(RunOptions{Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if ref == nil {
-			ref = res
-			continue
-		}
-		if res.Adaptive.SamplesUsed != ref.Adaptive.SamplesUsed {
-			t.Fatalf("workers=%d used %d samples, want %d", workers, res.Adaptive.SamplesUsed, ref.Adaptive.SamplesUsed)
-		}
-		for i, s := range res.Dist.Samples {
-			if s != ref.Dist.Samples[i] {
-				t.Fatalf("workers=%d sample %d = %v, want %v", workers, i, s, ref.Dist.Samples[i])
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := lossEngine(t, 12, 3)
+			p, err := e.Prepare(tc.adaptive)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	// And identical to a fixed run of the same count.
-	m := ref.Adaptive.SamplesUsed
-	fixed, err := e.Query().From("losses", "").SelectSum(expr.C("val")).MonteCarlo(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range fixed.Samples {
-		if s != ref.Dist.Samples[i] {
-			t.Fatalf("fixed MONTECARLO(%d) sample %d = %v, adaptive %v", m, i, s, ref.Dist.Samples[i])
-		}
+			var ref *ExecResult
+			var want string
+			for _, workers := range []int{1, 2, runtime.NumCPU()} {
+				res, err := p.Run(RunOptions{Workers: workers})
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				if ref == nil {
+					ref, want = res, ResultBits(t, res)
+					continue
+				}
+				if res.Adaptive.SamplesUsed != ref.Adaptive.SamplesUsed {
+					t.Fatalf("workers=%d used %d samples, want %d", workers, res.Adaptive.SamplesUsed, ref.Adaptive.SamplesUsed)
+				}
+				if ResultBits(t, res) != want {
+					t.Fatalf("workers=%d: result bits diverge from workers=1", workers)
+				}
+			}
+			if !ref.Adaptive.Converged || ref.Adaptive.Rounds < 3 {
+				t.Fatalf("want an early stop after several rounds, got %+v", ref.Adaptive)
+			}
+			if ref.Grouped != nil && !partlyIncluded(ref.Grouped) {
+				t.Fatal("HAVING includes every group in every replicate or none; the case tests nothing")
+			}
+			// And identical to a fixed run of the same count.
+			m := ref.Adaptive.SamplesUsed
+			fixed, err := e.Exec(fmt.Sprintf(tc.fixed, m))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ResultBits(t, fixed) != want {
+				t.Fatalf("fixed MONTECARLO(%d) diverges from the adaptive run", m)
+			}
+		})
 	}
 }
 

@@ -249,6 +249,54 @@ note: DOMAIN x >= QUANTILE(0.9): Gibbs tail sampling, 20 conditioned samples
 	checkGolden(t, "group-by-tail", x.String(), want)
 }
 
+// TestExplainGoldenGroupedHaving pins a grouped HAVING aggregate: HAVING
+// runs on the window-major path's finished per-group lanes, so the
+// Aggregate is marked vectorized like any other grouped aggregate.
+func TestExplainGoldenGroupedHaving(t *testing.T) {
+	e := New(WithSeed(42))
+	e.RegisterTable(workload.LossMeans(100, 2, 8, 7))
+	if _, err := e.Exec(`
+CREATE TABLE Losses (CID, val) AS
+FOR EACH CID IN means
+WITH myVal AS Normal(VALUES(m, 1.0))
+SELECT CID, myVal.* FROM myVal`); err != nil {
+		t.Fatal(err)
+	}
+	x, err := e.Explain(`EXPLAIN SELECT SUM(val) AS s, COUNT(*) AS c FROM Losses WHERE val > 4.0
+GROUP BY CID HAVING s > 5.0 WITH RESULTDISTRIBUTION MONTECARLO(100)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `logical plan:
+  Aggregate[SUM(Losses.val) AS s, COUNT(*) AS c; group by Losses.CID; having (s > 5)] [rows~3]
+    Filter((Losses.val > 4)) [rows~30]
+      Rename(Losses) [rows~100]
+        Project[CID, val] [rows~100]
+          Instantiate [rows~100]
+            Seed(Normal) [rows~100]
+              Rel(means AS __param) [rows~100 det]
+rules fired:
+  resolve-columns
+  expand-random-tables
+  push-filters-below-joins
+  place-aggregate
+  mark-deterministic
+physical plan:
+  Aggregate[SUM(Losses.val) AS s, COUNT(*) AS c; group by Losses.CID; having (s > 5)] [sink] [vectorized=true]
+    Select((Losses.val > 4)) [stream] [vectorized=true]
+      Rename(Losses) [stream]
+        Project[__param.CID __vg0] [stream]
+          Instantiate [stream]
+            Seed(Normal) [stream]
+              Scan(means AS __param) [det] [stream]
+aggregate: SUM(Losses.val) AS s, COUNT(*) AS c
+note: streaming executor: pull-based batches of 1024 tuples
+note: GROUP BY CID: single-pass grouped aggregation (one plan run, per-group aggregate vectors)
+note: plain Monte Carlo, 100 repetitions
+`
+	checkGolden(t, "grouped-having", x.String(), want)
+}
+
 // TestExplainFromBuilder: the fluent API exposes the same explanation.
 func TestExplainFromBuilder(t *testing.T) {
 	e := New(WithSeed(1))

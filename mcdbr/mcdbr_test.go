@@ -1,6 +1,7 @@
 package mcdbr
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -11,6 +12,36 @@ import (
 	"repro/internal/types"
 	"repro/internal/workload"
 )
+
+// ResultBits fingerprints a plain or grouped Monte Carlo result down to
+// the bit pattern of every sample and, per group, the key and HAVING
+// inclusion, so two results compare equal iff they are bit-identical.
+// Exported for the external mcdbr_test package's identity tests.
+func ResultBits(t testing.TB, res *ExecResult) string {
+	t.Helper()
+	var sb strings.Builder
+	bits := func(samples []float64) {
+		fmt.Fprintf(&sb, "#%d:", len(samples))
+		for _, s := range samples {
+			fmt.Fprintf(&sb, "%016x,", math.Float64bits(s))
+		}
+	}
+	switch res.Kind {
+	case ExecDistribution:
+		bits(res.Dist.Samples)
+	case ExecGroupedDistribution:
+		for i := range res.Grouped.Groups {
+			g := &res.Grouped.Groups[i]
+			fmt.Fprintf(&sb, "\ngroup %s incl=%016x ", g.KeyString(), math.Float64bits(g.Inclusion))
+			for _, d := range g.Dists {
+				bits(d.Samples)
+			}
+		}
+	default:
+		t.Fatalf("unexpected result kind %v", res.Kind)
+	}
+	return sb.String()
+}
 
 // lossEngine builds the §2 example: means(cid, m) and the random table
 // losses(cid, val) with val ~ Normal(m, 1).

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/prng"
@@ -64,68 +63,5 @@ func TestShardWorkspace(t *testing.T) {
 	}
 	if ws.Seeds == proto.Seeds {
 		t.Error("shard workspace must have a private seed store")
-	}
-}
-
-func TestRunShardedMergesInReplicateOrder(t *testing.T) {
-	proto := shardProto()
-	for _, workers := range []int{1, 2, 3, 5, 16} {
-		out, err := RunSharded(proto, 11, workers, func(sh Shard) ([]float64, error) {
-			res := make([]float64, sh.Len())
-			for i := range res {
-				res[i] = float64(sh.Lo + i)
-			}
-			return res, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(out) != 11 {
-			t.Fatalf("workers=%d: %d results", workers, len(out))
-		}
-		for i, v := range out {
-			if v != float64(i) {
-				t.Fatalf("workers=%d: out[%d] = %g, want %d", workers, i, v, i)
-			}
-		}
-	}
-}
-
-func TestRunShardedShardWindows(t *testing.T) {
-	proto := shardProto()
-	_, err := RunSharded(proto, 10, 3, func(sh Shard) ([]float64, error) {
-		if sh.WS.Base != uint64(sh.Lo) {
-			return nil, fmt.Errorf("shard %d: Base=%d, want %d", sh.Index, sh.WS.Base, sh.Lo)
-		}
-		if sh.WS.Window != sh.Len() {
-			return nil, fmt.Errorf("shard %d: Window=%d, want %d", sh.Index, sh.WS.Window, sh.Len())
-		}
-		return make([]float64, sh.Len()), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRunShardedErrors(t *testing.T) {
-	proto := shardProto()
-	if _, err := RunSharded(proto, 0, 2, nil); err == nil {
-		t.Error("n=0 must error")
-	}
-	boom := fmt.Errorf("boom")
-	_, err := RunSharded(proto, 10, 4, func(sh Shard) ([]float64, error) {
-		if sh.Index == 2 {
-			return nil, boom
-		}
-		return make([]float64, sh.Len()), nil
-	})
-	if err != boom {
-		t.Errorf("worker error not propagated: %v", err)
-	}
-	_, err = RunSharded(proto, 10, 2, func(sh Shard) ([]float64, error) {
-		return make([]float64, sh.Len()+1), nil
-	})
-	if err == nil {
-		t.Error("wrong result length must error")
 	}
 }

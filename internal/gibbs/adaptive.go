@@ -1,11 +1,10 @@
-// Adaptive Monte Carlo: confidence-interval early stopping over the
-// replicate-sharded executor. A fixed MONTECARLO(N) run spends N replicates
-// regardless of estimator variance; the round driver here executes
-// replicates in geometrically growing rounds over the same replicate-
-// sharded windows and stops as soon as every (group, aggregate) pair's
-// normal-approximation confidence interval is relatively tighter than the
-// user's target. Because stream element i is a pure function of (seed, i),
-// the concatenation of rounds [0,32), [32,96), [96,224), ... is exactly the
+// The plain Monte Carlo driver: replicates run in rounds over replicate-
+// sharded windows. A fixed MONTECARLO(N) run is one round of N with no
+// stopping rule; an adaptive run executes geometrically growing rounds and
+// stops as soon as every (group, aggregate) pair's normal-approximation
+// confidence interval is relatively tighter than the user's target.
+// Because stream element i is a pure function of (seed, i), the
+// concatenation of rounds [0,32), [32,96), [96,224), ... is exactly the
 // prefix of the fixed run's replicate sequence — stopping after m
 // replicates yields results bit-identical to MONTECARLO(m) at every worker
 // count, so adaptive mode is still fully deterministic given the data.
@@ -32,7 +31,8 @@ const (
 // StopRule is the UNTIL ERROR < eps AT conf%, MAX n stopping rule. The
 // zero value of a field selects its default; TargetRelError <= 0 disables
 // convergence checking entirely (the driver runs straight to MaxSamples —
-// the shape the progressive-streaming path uses for fixed-N queries).
+// the shape fixed-N queries use: one round of N, or geometric rounds up to
+// N when streaming progress).
 type StopRule struct {
 	// TargetRelError is the relative CI half-width every aggregate of
 	// every group must reach: half-width / |mean| <= TargetRelError.
@@ -123,10 +123,12 @@ type AdaptiveResult struct {
 // MonteCarloGroupedAdaptive runs grouped Monte Carlo in geometrically
 // growing rounds, stopping once every (group, aggregate) pair's relative
 // CI half-width meets rule.TargetRelError or rule.MaxSamples replicates
-// have run. Each round's replicate window [lo, hi) is replicate-sharded
-// across up to workers goroutines exactly like MonteCarloGroupedParallel,
-// so the accumulated sample is bit-identical to MonteCarloGrouped(m) for
-// every worker count and round schedule. progress, when non-nil, is
+// have run. It is the only plain Monte Carlo driver: a fixed MONTECARLO(n)
+// is StopRule{MaxSamples: n, FirstRound: n}, one round with no stop rule.
+// Each round's replicate window [lo, hi) is replicate-sharded across up to
+// workers goroutines (monteCarloGroupedWindow), so the accumulated sample
+// is bit-identical to monteCarloGrouped(m) for every worker count and
+// round schedule. progress, when non-nil, is
 // invoked after every round with the cumulative state (from the driver's
 // goroutine; it must not retain the CIs slices across calls).
 //
@@ -247,9 +249,9 @@ func foldRound(wel [][]stats.Welford, cis [][]CISnapshot, part *GroupedRuns, rul
 
 // monteCarloGroupedWindow evaluates the replicate window [lo, hi) of the
 // prototype workspace's run, replicate-sharded across up to workers
-// goroutines. It is MonteCarloGroupedParallel generalized to a nonzero
-// base: each shard's workspace covers a sub-window [lo+a, lo+b), so the
-// merged output is replicates lo..hi-1 of the sequential run.
+// goroutines: each shard's workspace covers a sub-window [lo+a, lo+b), so
+// the merged output is replicates lo..hi-1 of the sequential run. A panic
+// on a shard goroutine is contained and returned as that shard's error.
 func monteCarloGroupedWindow(ws *exec.Workspace, agg *exec.Aggregate, final expr.Expr, lo, hi, workers int) (*GroupedRuns, error) {
 	if hi <= lo {
 		return nil, fmt.Errorf("gibbs: empty replicate window [%d, %d)", lo, hi)
@@ -257,7 +259,7 @@ func monteCarloGroupedWindow(ws *exec.Workspace, agg *exec.Aggregate, final expr
 	windows := exec.Shards(hi-lo, workers)
 	if len(windows) == 1 {
 		sub := exec.ShardWorkspace(ws, lo, hi)
-		return MonteCarloGrouped(sub, agg, final, hi-lo)
+		return monteCarloGrouped(sub, agg, final, hi-lo)
 	}
 	parts := make([]*GroupedRuns, len(windows))
 	errs := make([]error, len(windows))
@@ -268,7 +270,7 @@ func monteCarloGroupedWindow(ws *exec.Workspace, agg *exec.Aggregate, final expr
 		go func(i, n int, sub *exec.Workspace) {
 			defer func() {
 				if r := recover(); r != nil {
-					errs[i] = fmt.Errorf("gibbs: adaptive shard %d panicked: %v", i, r)
+					errs[i] = fmt.Errorf("gibbs: shard %d panicked: %v", i, r)
 				}
 				done <- i
 			}()
@@ -276,7 +278,7 @@ func monteCarloGroupedWindow(ws *exec.Workspace, agg *exec.Aggregate, final expr
 				errs[i] = err
 				return
 			}
-			parts[i], errs[i] = MonteCarloGrouped(sub, agg, final, n)
+			parts[i], errs[i] = monteCarloGrouped(sub, agg, final, n)
 		}(i, w[1]-w[0], sub)
 	}
 	for range windows {

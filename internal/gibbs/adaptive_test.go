@@ -27,7 +27,7 @@ func adaptiveSetup(t testing.TB, seed uint64, window int, variance float64, grou
 }
 
 // TestAdaptiveBitIdentity: stopping the round driver after m replicates
-// must be bit-identical to a fixed MonteCarloGrouped(m) run — at every
+// must be bit-identical to a fixed monteCarloGrouped(m) run — at every
 // worker count, grouped and ungrouped.
 func TestAdaptiveBitIdentity(t *testing.T) {
 	rule := StopRule{TargetRelError: 0.02, Confidence: 0.95, MaxSamples: 4096, FirstRound: 32}
@@ -41,8 +41,8 @@ func TestAdaptiveBitIdentity(t *testing.T) {
 			t.Fatalf("grouped=%v: low-variance run did not converge (m=%d)", grouped, res.SamplesUsed)
 		}
 		m := res.SamplesUsed
-		wsF, aggF := adaptiveSetup(t, 99, 64, 1, grouped)
-		fixed, err := MonteCarloGrouped(wsF, aggF, nil, m)
+		wsF, aggF := adaptiveSetup(t, 99, m, 1, grouped)
+		fixed, err := monteCarloGrouped(wsF, aggF, nil, m)
 		if err != nil {
 			t.Fatalf("grouped=%v: fixed: %v", grouped, err)
 		}
@@ -167,8 +167,8 @@ func TestAdaptiveDegradeOnDeadline(t *testing.T) {
 	if res.SamplesUsed != 96 {
 		t.Fatalf("SamplesUsed = %d, want the two completed rounds (96)", res.SamplesUsed)
 	}
-	wsF, aggF := adaptiveSetup(t, 11, 64, 1, true)
-	fixed, err := MonteCarloGrouped(wsF, aggF, nil, 96)
+	wsF, aggF := adaptiveSetup(t, 11, 96, 1, true)
+	fixed, err := monteCarloGrouped(wsF, aggF, nil, 96)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,21 +211,18 @@ func TestAdaptiveDegradeOnDeadline(t *testing.T) {
 	}
 }
 
-// TestCancelledWorkspacePropagates: plain sharded paths also honor the
-// workspace context.
+// TestCancelledWorkspacePropagates: fixed-N runs through the driver, and
+// the looper, also honor the workspace context.
 func TestCancelledWorkspacePropagates(t *testing.T) {
-	ws, agg := adaptiveSetup(t, 3, 64, 1, false)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	ws.Ctx = ctx
-	if _, err := MonteCarloGroupedParallel(ws, agg, nil, 64, 4); !errors.Is(err, context.Canceled) {
-		t.Fatalf("grouped parallel err = %v, want context.Canceled", err)
-	}
-	ws2, _ := adaptiveSetup(t, 3, 64, 1, false)
-	plan2 := lossPlan(t, ws2, 1)
-	ws2.Ctx = ctx
-	if _, err := MonteCarloParallel(ws2, plan2, sumQuery(), 64, 4); !errors.Is(err, context.Canceled) {
-		t.Fatalf("parallel err = %v, want context.Canceled", err)
+	for _, workers := range []int{1, 4} {
+		ws, agg := adaptiveSetup(t, 3, 64, 1, false)
+		ws.Ctx = ctx
+		_, err := MonteCarloGroupedAdaptive(ws, agg, nil, StopRule{MaxSamples: 64, FirstRound: 64}, workers, nil)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("fixed run workers=%d err = %v, want context.Canceled", workers, err)
+		}
 	}
 	ws3, _ := adaptiveSetup(t, 3, 64, 1, false)
 	plan3 := lossPlan(t, ws3, 1)

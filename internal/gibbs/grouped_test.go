@@ -21,55 +21,32 @@ func aggOver(t testing.TB, plan exec.Node, groupBy []expr.Expr, names []string) 
 }
 
 // TestMonteCarloGroupedMatchesMonteCarlo: for a single ungrouped
-// aggregate the grouped path is bit-identical to MonteCarlo, including
-// when a small workspace window forces §9 replenishing runs.
+// aggregate the grouped path is bit-identical to MonteCarlo.
 func TestMonteCarloGroupedMatchesMonteCarlo(t *testing.T) {
 	const n = 40
-	for _, window := range []int{n, 8} {
-		cat := lossCatalog([]float64{3, 4, 5, 6})
-		ws := exec.NewWorkspace(cat, prng.NewStream(77), window)
-		plan := lossPlan(t, ws, 1)
-		want, err := MonteCarlo(ws, plan, sumQuery(), n)
-		if err != nil {
-			t.Fatalf("window=%d: %v", window, err)
-		}
-		ws2 := exec.NewWorkspace(cat, prng.NewStream(77), window)
-		plan2 := lossPlan(t, ws2, 1)
-		gr, err := MonteCarloGrouped(ws2, aggOver(t, plan2, nil, nil), nil, n)
-		if err != nil {
-			t.Fatalf("window=%d: grouped: %v", window, err)
-		}
-		if len(gr.Keys) != 1 || len(gr.Samples[0]) != 1 {
-			t.Fatalf("window=%d: shape %d groups", window, len(gr.Keys))
-		}
-		got := gr.Samples[0][0]
-		if len(got) != n {
-			t.Fatalf("window=%d: %d samples", window, len(got))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("window=%d rep %d: grouped %v vs MonteCarlo %v", window, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// TestMonteCarloGroupedReplenishGrouped: grouped keys survive the
-// replenishing rebuild (small window, per-cid groups).
-func TestMonteCarloGroupedReplenishGrouped(t *testing.T) {
-	cat := lossCatalog([]float64{3, 4, 5})
-	ws := exec.NewWorkspace(cat, prng.NewStream(5), 8)
+	cat := lossCatalog([]float64{3, 4, 5, 6})
+	ws := exec.NewWorkspace(cat, prng.NewStream(77), n)
 	plan := lossPlan(t, ws, 1)
-	gr, err := MonteCarloGrouped(ws, aggOver(t, plan, []expr.Expr{expr.C("means.cid")}, []string{"cid"}), nil, 30)
+	want, err := MonteCarlo(ws, plan, sumQuery(), n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(gr.Keys) != 3 {
-		t.Fatalf("groups = %d", len(gr.Keys))
+	ws2 := exec.NewWorkspace(cat, prng.NewStream(77), n)
+	plan2 := lossPlan(t, ws2, 1)
+	gr, err := monteCarloGrouped(ws2, aggOver(t, plan2, nil, nil), nil, n)
+	if err != nil {
+		t.Fatalf("grouped: %v", err)
 	}
-	for g := range gr.Keys {
-		if len(gr.Samples[g][0]) != 30 {
-			t.Fatalf("group %d samples = %d", g, len(gr.Samples[g][0]))
+	if len(gr.Keys) != 1 || len(gr.Samples[0]) != 1 {
+		t.Fatalf("shape %d groups", len(gr.Keys))
+	}
+	got := gr.Samples[0][0]
+	if len(got) != n {
+		t.Fatalf("%d samples", len(got))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("rep %d: grouped %v vs MonteCarlo %v", i, got[i], want[i])
 		}
 	}
 }

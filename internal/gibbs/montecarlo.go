@@ -1,9 +1,7 @@
 package gibbs
 
 import (
-	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/bundle"
 	"repro/internal/exec"
@@ -15,7 +13,9 @@ import (
 // repetitions — the behaviour of the original MCDB system, where the i-th
 // value of every stream is assigned to the i-th repetition. It runs the
 // plan once over tuple bundles regardless of n and returns the n query
-// results. The naive baseline engine and the E1/E3 benchmarks build on it.
+// results. It is the looper-based sequential reference: the naive
+// baseline engine (internal/naive) runs on it, and the grouped and
+// determinism tests compare the round driver against it.
 func MonteCarlo(ws *exec.Workspace, plan exec.Node, q Query, n int) ([]float64, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("gibbs: need n >= 1 repetitions, got %d", n)
@@ -36,28 +36,6 @@ func MonteCarlo(ws *exec.Workspace, plan exec.Node, q Query, n int) ([]float64, 
 	return out, nil
 }
 
-// MonteCarloParallel is MonteCarlo with the n repetitions replicate-sharded
-// across up to workers goroutines. Each worker receives a private workspace
-// over the shared catalog, re-runs the plan (allocating the same TS-seeds
-// with the same SplitMix64-derived substreams, since seed allocation is a
-// pure function of the deterministic pipeline and the master stream),
-// materializes only its shard's stream positions, and evaluates its
-// replicate window; shard outputs are merged in replicate order. Because
-// stream element i is a pure function of (seed, i), the result is
-// bit-for-bit identical to MonteCarlo for every worker count. workers <= 1
-// selects the sequential path on ws itself.
-func MonteCarloParallel(ws *exec.Workspace, plan exec.Node, q Query, n, workers int) ([]float64, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("gibbs: need n >= 1 repetitions, got %d", n)
-	}
-	if workers <= 1 || n < 2 {
-		return MonteCarlo(ws, plan, q, n)
-	}
-	return exec.RunSharded(ws, n, workers, func(sh exec.Shard) ([]float64, error) {
-		return MonteCarlo(sh.WS, plan, q, sh.Len())
-	})
-}
-
 // GroupedRuns is the output of single-pass grouped Monte Carlo: one
 // sample vector per (group, aggregate) pair, with groups in ascending
 // key order.
@@ -73,13 +51,14 @@ type GroupedRuns struct {
 	Include [][]bool
 }
 
-// MonteCarloGrouped evaluates a grouped (and/or multi-aggregate) query
-// for n Monte Carlo repetitions in a single pass: the plan below agg runs
-// once, its tuples are partitioned by their deterministic group key once,
-// and each repetition produces the whole per-group aggregate vector in
-// one sweep — replacing the pre-ISSUE-5 outer loop that re-ran the entire
-// pipeline once per group. final is the Gibbs-looper final predicate
-// (paper App. A), applied to every tuple before aggregation.
+// monteCarloGrouped evaluates one replicate window of a grouped (and/or
+// multi-aggregate) query in a single pass: the plan below agg runs once,
+// its tuples are partitioned by their deterministic group key once, and
+// each of the n repetitions produces the whole per-group aggregate vector
+// in one sweep. final is the Gibbs-looper final predicate (paper App. A),
+// applied to every tuple before aggregation. ws must materialize exactly
+// the window's stream positions, as a ShardWorkspace does; the round
+// driver (MonteCarloGroupedAdaptive) is the only production caller.
 //
 // The window-major pass (AggEval.EvalWindow, HAVING included) runs first;
 // the version-major loop is the fallback when kernels are off, the seed
@@ -89,10 +68,7 @@ type GroupedRuns struct {
 // identical, operation for operation, to MonteCarlo — deterministic
 // tuples accumulate first, then random tuples in plan order — so results
 // are bit-for-bit unchanged through this path.
-func MonteCarloGrouped(ws *exec.Workspace, agg *exec.Aggregate, final expr.Expr, n int) (*GroupedRuns, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("gibbs: need n >= 1 repetitions, got %d", n)
-	}
+func monteCarloGrouped(ws *exec.Workspace, agg *exec.Aggregate, final expr.Expr, n int) (*GroupedRuns, error) {
 	// Aggregate passes its child's stream through; OpenEval pulls it one
 	// batch at a time and partitions tuples by group key as they arrive.
 	ev, err := agg.OpenEval(ws, final)
@@ -122,11 +98,10 @@ func MonteCarloGrouped(ws *exec.Workspace, agg *exec.Aggregate, final expr.Expr,
 		}
 	}
 	// Window-major fast path (DESIGN.md §13): when the assignment is the
-	// contiguous identity layout (always true for sharded workers, and for
-	// sequential runs whose window covers all n replicates), evaluate every
-	// version of each tuple in one kernel pass, then HAVING per group per
-	// version. Bit-identical to the version-major loop below, which any
-	// invalid layout falls through to.
+	// contiguous identity layout (always true for a ShardWorkspace),
+	// evaluate every version of each tuple in one kernel pass, then HAVING
+	// per group per version. Bit-identical to the version-major loop below,
+	// which any invalid layout falls through to.
 	ok, err := ev.EvalWindow(ws, n, out.Samples, out.Include)
 	if err != nil {
 		return nil, err
@@ -135,32 +110,12 @@ func MonteCarloGrouped(ws *exec.Workspace, agg *exec.Aggregate, final expr.Expr,
 		return out, nil
 	}
 	//mcdbr:hotpath
-	for v := 0; v < n; {
+	for v := 0; v < n; v++ {
 		if err := ws.Cancelled(); err != nil {
 			return nil, err
 		}
 		if err := ev.EvalVersion(bundle.Bind(ws.Seeds, v), vec, include); err != nil {
-			// A workspace window smaller than n leaves some assigned
-			// positions unmaterialized; run a §9 replenishing pass (which
-			// covers currently-assigned positions) and retry the version,
-			// exactly like the looper's recomputeStates.
-			var nm *bundle.ErrNotMaterialized
-			if !errors.As(err, &nm) {
-				return nil, err
-			}
-			ws.BeginReplenish()
-			if ev, err = agg.OpenEval(ws, final); err != nil {
-				return nil, err
-			}
-			if ev.NumGroups() != nG {
-				return nil, fmt.Errorf("gibbs: replenishing run discovered %d groups, previously %d; plan is not deterministic", ev.NumGroups(), nG)
-			}
-			for g := 0; g < nG; g++ {
-				if !ev.Key(g).Equal(out.Keys[g]) {
-					return nil, fmt.Errorf("gibbs: replenishing run changed group %d key (%s vs %s); plan is not deterministic", g, ev.Key(g), out.Keys[g])
-				}
-			}
-			continue
+			return nil, err
 		}
 		for g := 0; g < nG; g++ {
 			for a := 0; a < nA; a++ {
@@ -170,56 +125,8 @@ func MonteCarloGrouped(ws *exec.Workspace, agg *exec.Aggregate, final expr.Expr,
 				out.Include[g][v] = include[g]
 			}
 		}
-		v++
 	}
 	return out, nil
-}
-
-// MonteCarloGroupedParallel is MonteCarloGrouped with the n repetitions
-// replicate-sharded across up to workers goroutines, exactly like
-// MonteCarloParallel: every shard re-runs the (deterministic-prefix-
-// cached) plan in a private workspace, discovers the identical group
-// partition, and evaluates only its replicate window; shard outputs are
-// merged in replicate order, so results are bit-for-bit identical for
-// every worker count.
-func MonteCarloGroupedParallel(ws *exec.Workspace, agg *exec.Aggregate, final expr.Expr, n, workers int) (*GroupedRuns, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("gibbs: need n >= 1 repetitions, got %d", n)
-	}
-	if workers <= 1 || n < 2 {
-		return MonteCarloGrouped(ws, agg, final, n)
-	}
-	windows := exec.Shards(n, workers)
-	parts := make([]*GroupedRuns, len(windows))
-	errs := make([]error, len(windows))
-	var wg sync.WaitGroup
-	//mcdbr:hotpath
-	for i, w := range windows {
-		sh := exec.Shard{Index: i, Lo: w[0], Hi: w[1], WS: exec.ShardWorkspace(ws, w[0], w[1])}
-		wg.Add(1)
-		go func(i int, sh exec.Shard) {
-			defer wg.Done()
-			// Contain worker panics (fatal to the process regardless of
-			// recovery installed by the caller).
-			defer func() {
-				if r := recover(); r != nil {
-					errs[i] = fmt.Errorf("gibbs: grouped shard %d panicked: %v", sh.Index, r)
-				}
-			}()
-			if err := sh.WS.Cancelled(); err != nil {
-				errs[i] = err
-				return
-			}
-			parts[i], errs[i] = MonteCarloGrouped(sh.WS, agg, final, sh.Len())
-		}(i, sh)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return mergeGroupedRuns(parts)
 }
 
 // mergeGroupedRuns concatenates per-shard grouped runs in replicate

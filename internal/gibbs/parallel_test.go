@@ -20,10 +20,30 @@ func selectivePlan(t testing.TB, ws *exec.Workspace, variance float64) exec.Node
 	}
 }
 
-// TestMonteCarloParallelDeterminism is the tentpole contract: the sharded
-// executor's output is bit-for-bit identical to sequential execution for
-// every worker count, across plain and presence-vector plans and across
-// SUM and COUNT aggregates.
+// fixedRun runs a fixed MONTECARLO(n) through the plain Monte Carlo driver
+// — one round of n, no stopping rule — over an ungrouped single-aggregate
+// Aggregate rooted at plan, and returns the replicate values.
+func fixedRun(t testing.TB, ws *exec.Workspace, plan exec.Node, spec exec.AggSpec, n, workers int) ([]float64, error) {
+	t.Helper()
+	spec.Name = "x"
+	agg, err := exec.NewAggregate(plan, nil, nil, []exec.AggSpec{spec}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := MonteCarloGroupedAdaptive(ws, agg, nil, StopRule{MaxSamples: n, FirstRound: n}, workers, nil)
+	if err != nil {
+		return nil, err
+	}
+	if res.Rounds != 1 || res.SamplesUsed != n {
+		t.Fatalf("fixed run of %d took %d rounds, %d samples; want one round", n, res.Rounds, res.SamplesUsed)
+	}
+	return res.Runs.Samples[0][0], nil
+}
+
+// TestMonteCarloParallelDeterminism is the replicate-sharding contract:
+// the driver's output is bit-for-bit identical to the sequential looper
+// reference for every worker count, across plain and presence-vector
+// plans and across SUM and COUNT aggregates.
 func TestMonteCarloParallelDeterminism(t *testing.T) {
 	means := []float64{3, 4, 5, 2.5, 6, 4.5, 3.3, 5.1}
 	cat := lossCatalog(means)
@@ -48,7 +68,7 @@ func TestMonteCarloParallelDeterminism(t *testing.T) {
 			}
 			for _, workers := range []int{1, 2, 3, 5, runtime.NumCPU()} {
 				ws := exec.NewWorkspace(cat, prng.NewStream(7), n)
-				got, err := MonteCarloParallel(ws, tc.mk(t, ws, 1), tc.q, n, workers)
+				got, err := fixedRun(t, ws, tc.mk(t, ws, 1), tc.q.Agg, n, workers)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -122,7 +142,7 @@ func TestMonteCarloParallelSmallN(t *testing.T) {
 		t.Fatal(err)
 	}
 	ws := exec.NewWorkspace(cat, prng.NewStream(3), 8)
-	got, err := MonteCarloParallel(ws, lossPlan(t, ws, 1), sumQuery(), 3, 64)
+	got, err := fixedRun(t, ws, lossPlan(t, ws, 1), sumQuery().Agg, 3, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,14 +152,11 @@ func TestMonteCarloParallelSmallN(t *testing.T) {
 		}
 	}
 	ws1 := exec.NewWorkspace(cat, prng.NewStream(3), 8)
-	one, err := MonteCarloParallel(ws1, lossPlan(t, ws1, 1), sumQuery(), 1, 4)
+	one, err := fixedRun(t, ws1, lossPlan(t, ws1, 1), sumQuery().Agg, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(one) != 1 || one[0] != want[0] {
 		t.Fatalf("n=1: %v, want [%v]", one, want[0])
-	}
-	if _, err := MonteCarloParallel(ws1, lossPlan(t, ws1, 1), sumQuery(), 0, 4); err == nil {
-		t.Error("n=0 must error")
 	}
 }

@@ -84,8 +84,9 @@ func RepsForQuantile(p, mu, sigma, delta, conf float64) float64 {
 
 // RepsToFirstHit runs Monte Carlo in batches until a sample reaches the
 // cutoff or maxReps is exhausted, and returns the number of repetitions
-// consumed. hit reports whether the cutoff was ever reached. The E3
-// benchmark uses it to measure the naive cost of a single tail observation.
+// consumed. hit reports whether the cutoff was ever reached: the empirical
+// naive cost of a single tail observation. Only its tests call it; the E3
+// experiment uses the closed-form sample-size formulas above instead.
 func RepsToFirstHit(mk func(batch int) (*exec.Workspace, exec.Node), q gibbs.Query, cutoff float64, batch, maxReps int) (reps int, hit bool, err error) {
 	if batch < 1 {
 		return 0, false, fmt.Errorf("naive: batch must be >= 1, got %d", batch)

@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/gibbs"
 	"repro/internal/plan"
-	"repro/internal/sqlish"
 	"repro/internal/stats"
 	"repro/internal/types"
 )
@@ -95,8 +94,9 @@ type ProgressUpdate struct {
 }
 
 // runParams bundles the per-run execution knobs threaded from the public
-// entry points (Exec, PreparedQuery.RunCtx) into runSelectCompiled, so
-// adding a knob does not grow every signature on the path.
+// entry points (Exec, PreparedQuery.RunCtx, the QueryBuilder Monte Carlo
+// methods) into runSelectCompiled and runPlain, so adding a knob does not
+// grow every signature on the path.
 type runParams struct {
 	// ctx carries run cancellation; nil means "never cancelled".
 	ctx      context.Context
@@ -110,9 +110,9 @@ type runParams struct {
 	// degrade opts adaptive runs into graceful deadline degradation
 	// (RunOptions.DegradeOnDeadline); fixed-N runs ignore it.
 	degrade bool
-	// progress, when non-nil, selects progressive execution: the round
-	// driver runs even for fixed-N statements (with convergence disabled)
-	// and invokes the callback after every round.
+	// progress, when non-nil, selects progressive execution: fixed-N
+	// statements run geometric rounds up to n instead of one round (with
+	// convergence disabled), and the callback fires after every round.
 	progress func(ProgressUpdate)
 }
 
@@ -184,21 +184,39 @@ func adaptiveReport(c *compiled, res *gibbs.AdaptiveResult, rule gibbs.StopRule)
 	}
 }
 
-// runAdaptiveRuns executes the round-based driver for a compiled plan in a
-// fresh per-run workspace (with cancellation attached) and returns the raw
-// result plus the normalized rule it ran under.
-func (e *Engine) runAdaptiveRuns(ctx context.Context, c *compiled, rule gibbs.StopRule, seed uint64, workers int, maxBytes int64, progress func(ProgressUpdate)) (*gibbs.AdaptiveResult, gibbs.StopRule, error) {
-	rule = rule.Normalized()
+// runPlain is the one plain (non-DOMAIN) Monte Carlo path: fixed-N,
+// progressive and adaptive runs all execute through the round driver in a
+// fresh per-run workspace (with cancellation attached), and the result
+// distributions are built from the replicates actually run. It picks the
+// round schedule in one place: a stopping rule runs as given; a progress
+// callback alone runs the default geometric rounds up to rp.n with
+// convergence disabled (progressive streaming, bit-identical to the
+// non-progressive result); otherwise one round of rp.n. The report is nil
+// unless a rule or a progress callback is set.
+func (e *Engine) runPlain(c *compiled, rp runParams, rule *gibbs.StopRule) (*GroupedDistribution, *AdaptiveReport, error) {
+	var r gibbs.StopRule
+	switch {
+	case rule != nil:
+		r = *rule
+	case rp.n < 1:
+		// Normalized would turn MaxSamples 0 into the adaptive default.
+		return nil, nil, fmt.Errorf("mcdbr: need n >= 1 Monte Carlo repetitions, got %d", rp.n)
+	case rp.progress != nil:
+		r.MaxSamples = rp.n
+	default:
+		r.MaxSamples, r.FirstRound = rp.n, rp.n
+	}
+	r = r.Normalized()
 	// The prototype workspace is never evaluated itself — every round
 	// window runs in a ShardWorkspace with its own base and window — so
 	// the window here only sizes the prototype's (unused) default.
-	ws := e.newRunWorkspace(seed, rule.FirstRound, maxBytes)
-	ws.Ctx = ctx
+	ws := e.newRunWorkspace(rp.seed, r.FirstRound, rp.maxBytes)
+	ws.Ctx = rp.ctx
 	var gp func(gibbs.RoundUpdate)
-	if progress != nil {
+	if rp.progress != nil {
 		aggCols := c.agg.AggColNames()
 		gp = func(u gibbs.RoundUpdate) {
-			progress(ProgressUpdate{
+			rp.progress(ProgressUpdate{
 				Round:       u.Round,
 				SamplesUsed: u.SamplesUsed,
 				Converged:   u.Converged,
@@ -206,45 +224,18 @@ func (e *Engine) runAdaptiveRuns(ctx context.Context, c *compiled, rule gibbs.St
 			})
 		}
 	}
-	res, err := gibbs.MonteCarloGroupedAdaptive(ws, c.agg, c.gq.FinalPred, rule, workers, gp)
-	return res, rule, err
-}
-
-// runAdaptiveSelect executes a plain (non-DOMAIN) query through the round
-// driver and packages the result exactly like the fixed-N paths — same
-// ExecResult kinds, same Distribution contents for the replicates actually
-// run — plus the AdaptiveReport. With rule == nil (fixed-N progressive
-// streaming) the driver runs to exactly rp.n replicates with convergence
-// disabled, so the final result is bit-identical to the non-progressive
-// path.
-func (e *Engine) runAdaptiveSelect(c *compiled, s *sqlish.SelectStmt, rp runParams, rule *gibbs.StopRule) (*ExecResult, error) {
-	var r gibbs.StopRule
-	if rule != nil {
-		r = *rule
-	} else {
-		r.MaxSamples = rp.n
-	}
-	res, norm, err := e.runAdaptiveRuns(rp.ctx, c, r, rp.seed, rp.workers, rp.maxBytes, rp.progress)
+	res, err := gibbs.MonteCarloGroupedAdaptive(ws, c.agg, c.gq.FinalPred, r, rp.workers, gp)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	gd, err := buildGroupedDistribution(c, res.Runs, res.SamplesUsed)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	report := adaptiveReport(c, res, norm)
-	if c.grouped() || len(c.agg.Aggs) > 1 {
-		out := &ExecResult{Kind: ExecGroupedDistribution, Grouped: gd, Adaptive: report}
-		if len(c.agg.Aggs) == 1 {
-			out.GroupDists = gd.DistMap()
-		}
-		return out, nil
+	if rule == nil && rp.progress == nil {
+		return gd, nil, nil
 	}
-	d := gd.Groups[0].Dists[0]
-	if s != nil {
-		e.registerFTable(s, d)
-	}
-	return &ExecResult{Kind: ExecDistribution, Dist: d, Adaptive: report}, nil
+	return gd, adaptiveReport(c, res, r), nil
 }
 
 // runTailAdaptive runs one conditioned Gibbs tail chain under an adaptive

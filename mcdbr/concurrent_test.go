@@ -221,15 +221,24 @@ func TestPreparedRunPanicBecomesError(t *testing.T) {
 // tail-boundary estimates (they sort to the front of the ECDF).
 func TestNaNResultsRejected(t *testing.T) {
 	e := vgEngine(t, nanVG{}, 1)
-	_, err := e.Exec(`SELECT SUM(val) AS x FROM bad WITH RESULTDISTRIBUTION MONTECARLO(20)`)
-	if err == nil {
-		t.Fatal("expected non-finite-result error")
-	}
-	if !strings.Contains(err.Error(), "NaN") {
-		t.Fatalf("error does not name NaN: %v", err)
-	}
-	if !strings.Contains(err.Error(), "non-finite") {
-		t.Fatalf("error is not descriptive: %v", err)
+	for _, sql := range []string{
+		`SELECT SUM(val) AS x FROM bad WITH RESULTDISTRIBUTION MONTECARLO(20)`,
+		`SELECT SUM(val) AS x FROM bad WITH RESULTDISTRIBUTION MONTECARLO(UNTIL ERROR < 0.01 AT 95%, MAX 200)`,
+	} {
+		_, err := e.Exec(sql)
+		if err == nil {
+			t.Fatalf("%s: expected non-finite-result error", sql)
+		}
+		if !strings.Contains(err.Error(), "NaN") {
+			t.Fatalf("error does not name NaN: %v", err)
+		}
+		if !strings.Contains(err.Error(), "non-finite") {
+			t.Fatalf("error is not descriptive: %v", err)
+		}
+		// No GROUP BY: the message must not name an (empty) group.
+		if strings.Contains(err.Error(), "group ") {
+			t.Fatalf("ungrouped error names a group: %v", err)
+		}
 	}
 }
 

@@ -534,12 +534,11 @@ func validateSelect(c *compiled, s *sqlish.SelectStmt) error {
 // runSelectCompiled dispatches an already-compiled WITH RESULTDISTRIBUTION
 // statement: plain Monte Carlo without DOMAIN (single-pass grouped when
 // the query has GROUP BY or several aggregates), tail sampling with it
-// (one conditioned Gibbs run per group when grouped). An adaptive stopping
+// (one conditioned Gibbs run per group when grouped). Plain queries run
+// through runPlain, which picks their round schedule; an adaptive stopping
 // rule — from the statement's UNTIL clause or a per-run override — routes
-// plain queries through the round-based driver and tail queries through
-// per-group chain doubling; a progress callback alone routes fixed-N plain
-// queries through the round driver too (progressive streaming, convergence
-// disabled). It is the shared execution path of Exec and
+// tail queries through per-group chain doubling. It is the shared
+// execution path of Exec and
 // PreparedQuery.Run; the runParams knobs are per-run so prepared queries
 // can override them.
 func (e *Engine) runSelectCompiled(c *compiled, s *sqlish.SelectStmt, opts TailSampleOptions, rp runParams) (*ExecResult, error) {
@@ -603,26 +602,20 @@ func (e *Engine) runSelectCompiled(c *compiled, s *sqlish.SelectStmt, opts TailS
 		e.registerFTable(s, &tr.Distribution)
 		return &ExecResult{Kind: ExecTail, Tail: tr}, nil
 	}
-	if rule != nil || rp.progress != nil {
-		return e.runAdaptiveSelect(c, s, rp, rule)
+	gd, report, err := e.runPlain(c, rp, rule)
+	if err != nil {
+		return nil, err
 	}
 	if grouped || multi {
-		gd, err := e.runGroupedMonteCarlo(rp.ctx, c, rp.n, rp.seed, rp.workers, rp.maxBytes)
-		if err != nil {
-			return nil, err
-		}
-		res := &ExecResult{Kind: ExecGroupedDistribution, Grouped: gd}
+		res := &ExecResult{Kind: ExecGroupedDistribution, Grouped: gd, Adaptive: report}
 		if !multi {
 			res.GroupDists = gd.DistMap()
 		}
 		return res, nil
 	}
-	d, err := e.runMonteCarlo(rp.ctx, c, rp.n, rp.seed, rp.workers, rp.maxBytes)
-	if err != nil {
-		return nil, err
-	}
+	d := gd.Groups[0].Dists[0]
 	e.registerFTable(s, d)
-	return &ExecResult{Kind: ExecDistribution, Dist: d}, nil
+	return &ExecResult{Kind: ExecDistribution, Dist: d, Adaptive: report}, nil
 }
 
 // registerFTable is the explicit post-execution step that materializes a

@@ -335,6 +335,14 @@ func TestQueryValidationErrors(t *testing.T) {
 	if _, err := e.Query().From("nope", "").SelectCount().MonteCarlo(10); err == nil {
 		t.Fatal("unknown table must error")
 	}
+	// A fixed run needs at least one replicate: n = 0 must fail, not fall
+	// through to the round driver's default sample cap.
+	if _, err := e.Query().From("losses", "").SelectCount().MonteCarlo(0); err == nil || !strings.Contains(err.Error(), "n >= 1") {
+		t.Fatalf("MonteCarlo(0) must error with need n >= 1, got %v", err)
+	}
+	if _, err := e.Query().From("losses", "").SelectCount().MonteCarloGrouped(0); err == nil || !strings.Contains(err.Error(), "n >= 1") {
+		t.Fatalf("MonteCarloGrouped(0) must error with need n >= 1, got %v", err)
+	}
 	// cid exists in both losses and means: ambiguous, and the error must
 	// name the candidate aliases.
 	_, err := e.Query().From("losses", "l").From("means", "m").

@@ -225,7 +225,11 @@ func (q *QueryBuilder) MonteCarlo(n int) (d *Distribution, err error) {
 	if c.grouped() || len(c.agg.Aggs) > 1 {
 		return nil, fmt.Errorf("mcdbr: query has GROUP BY or multiple aggregates; use MonteCarloGrouped")
 	}
-	return q.e.runMonteCarlo(nil, c, n, q.e.seed, q.e.parallelism, q.e.maxQueryBytes)
+	gd, _, err := q.e.runPlain(c, q.runParams(n), nil)
+	if err != nil {
+		return nil, err
+	}
+	return gd.Groups[0].Dists[0], nil
 }
 
 // MonteCarloGrouped runs a grouped and/or multi-aggregate query with n
@@ -239,7 +243,8 @@ func (q *QueryBuilder) MonteCarloGrouped(n int) (gd *GroupedDistribution, err er
 	if err != nil {
 		return nil, err
 	}
-	return q.e.runGroupedMonteCarlo(nil, c, n, q.e.seed, q.e.parallelism, q.e.maxQueryBytes)
+	gd, _, err = q.e.runPlain(c, q.runParams(n), nil)
+	return gd, err
 }
 
 // MonteCarloAdaptive runs the query under the builder's Until stopping
@@ -258,57 +263,14 @@ func (q *QueryBuilder) MonteCarloAdaptive() (gd *GroupedDistribution, report *Ad
 	if c.stop == nil {
 		return nil, nil, fmt.Errorf("mcdbr: MonteCarloAdaptive needs a stopping rule; call Until first")
 	}
-	res, rule, err := q.e.runAdaptiveRuns(nil, c, stopRuleFromSpec(c.stop), q.e.seed, q.e.parallelism, q.e.maxQueryBytes, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	if gd, err = buildGroupedDistribution(c, res.Runs, res.SamplesUsed); err != nil {
-		return nil, nil, err
-	}
-	return gd, adaptiveReport(c, res, rule), nil
+	rule := stopRuleFromSpec(c.stop)
+	return q.e.runPlain(c, q.runParams(0), &rule)
 }
 
-// runMonteCarlo executes a compiled single-aggregate ungrouped plan for n
-// Monte Carlo repetitions through the grouped single-pass evaluator (one
-// group, one aggregate — the per-repetition arithmetic is bit-for-bit
-// the pre-ISSUE-5 path). It is the shared execution path of
-// QueryBuilder.MonteCarlo and PreparedQuery.Run; seed and workers are
-// per-run so prepared queries can override them.
-func (e *Engine) runMonteCarlo(ctx context.Context, c *compiled, n int, seed uint64, workers int, maxBytes int64) (*Distribution, error) {
-	gr, err := e.runGroupedRuns(ctx, c, n, seed, workers, maxBytes)
-	if err != nil {
-		return nil, err
-	}
-	samples := gr.Samples[0][0]
-	if err := stats.CheckFinite(samples); err != nil {
-		return nil, fmt.Errorf("mcdbr: Monte Carlo produced a non-finite query result (%w); check VG parameters and aggregate expressions", err)
-	}
-	return newDistribution(samples), nil
-}
-
-// runGroupedRuns is the raw single-pass grouped execution shared by the
-// Distribution-building paths.
-func (e *Engine) runGroupedRuns(ctx context.Context, c *compiled, n int, seed uint64, workers int, maxBytes int64) (*gibbs.GroupedRuns, error) {
-	// Plain Monte Carlo evaluates exactly positions [0, n) of every
-	// stream, so the window is n — not the engine window, which exists to
-	// amortize tail-sampling replenishment. (Shard workers already
-	// materialize exactly their replicate range; stream values depend only
-	// on (seed, position), so the window size never changes results.)
-	ws := e.newRunWorkspace(seed, n, maxBytes)
-	ws.Ctx = ctx
-	return gibbs.MonteCarloGroupedParallel(ws, c.agg, c.gq.FinalPred, n, workers)
-}
-
-// runGroupedMonteCarlo executes a compiled grouped/multi-aggregate plan
-// and builds the per-group result distributions. With a HAVING clause,
-// each group keeps only the repetitions in which the predicate held;
-// groups that never satisfy it are dropped.
-func (e *Engine) runGroupedMonteCarlo(ctx context.Context, c *compiled, n int, seed uint64, workers int, maxBytes int64) (*GroupedDistribution, error) {
-	gr, err := e.runGroupedRuns(ctx, c, n, seed, workers, maxBytes)
-	if err != nil {
-		return nil, err
-	}
-	return buildGroupedDistribution(c, gr, n)
+// runParams is the builder's run configuration: the engine's seed, worker
+// count and per-query memory bound, no cancellation, no progress.
+func (q *QueryBuilder) runParams(n int) runParams {
+	return runParams{seed: q.e.seed, workers: q.e.parallelism, n: n, maxBytes: q.e.maxQueryBytes}
 }
 
 // buildGroupedDistribution turns raw grouped runs into the per-group
@@ -350,8 +312,11 @@ func buildGroupedDistribution(c *compiled, gr *gibbs.GroupedRuns, n int) (*Group
 		}
 		for a := range samples {
 			if err := stats.CheckFinite(samples[a]); err != nil {
-				return nil, fmt.Errorf("mcdbr: group %s aggregate %s produced a non-finite query result (%w); check VG parameters and aggregate expressions",
-					formatGroupKey(gr.Keys[g]), c.agg.Aggs[a].Name, err)
+				where := "aggregate " + c.agg.Aggs[a].Name
+				if c.grouped() {
+					where = "group " + formatGroupKey(gr.Keys[g]) + " " + where
+				}
+				return nil, fmt.Errorf("mcdbr: %s produced a non-finite query result (%w); check VG parameters and aggregate expressions", where, err)
 			}
 			gd.Dists[a] = newDistribution(samples[a])
 		}

@@ -75,11 +75,6 @@ type Config struct {
 	// paper's §4.3 dismisses; it exists solely for the ablation benchmark
 	// quantifying the delta-maintenance optimization.
 	DisableDeltaAggregates bool
-	// PQMemLimit bounds the in-memory entries of the tuple priority
-	// queue; 0 selects the pq default.
-	PQMemLimit int
-	// SpillDir receives priority-queue spill files ("" = os.TempDir()).
-	SpillDir string
 	// Parallelism is the number of worker goroutines the batch
 	// state-recomputation path may use; values <= 1 select the sequential
 	// path. Results are bit-for-bit identical for every value: versions are
@@ -574,7 +569,7 @@ func (lp *looper) eliteVersions(e int) []int {
 // increasing handle order, every DB version, rejection sampling against
 // cutoff (paper §7 and Appendix A.2).
 func (lp *looper) pass(cutoff float64) error {
-	queue := pq.New(lp.cfg.PQMemLimit, lp.cfg.SpillDir)
+	queue := pq.New(0, "") // default in-memory limit, spills to os.TempDir()
 	defer queue.Reset()
 	for i := range lp.rand {
 		ids := lp.seedIDs[i]

@@ -143,16 +143,18 @@ func (s *Server) Serve(ctx context.Context, addr string, grace time.Duration) er
 }
 
 // QueryRequest is the body of POST /query. SQL is required; the remaining
-// fields are per-run overrides (see mcdbr.RunOptions). Seed and Samples
-// need a preparable statement — a SELECT without GROUP BY — and are
-// rejected otherwise; Workers additionally applies to tail sampling in
-// GROUP BY queries via the tail options.
+// fields are per-run overrides (see mcdbr.RunOptions). Every SELECT,
+// grouped or not, runs through Prepare and takes them all; Seed, Samples
+// and TargetRelError on any other statement (CREATE TABLE, EXPLAIN) are
+// rejected. Workers also sets the tail-sampling parallelism of DOMAIN
+// queries.
 //
 // POST /query?stream=1 streams the same request as Server-Sent Events:
-// one "progress" event per adaptive round (or per fixed-N round with
-// convergence disabled) carrying cumulative estimates and CI half-widths,
-// then one "result" event whose data is the exact QueryResponse the
-// non-streaming endpoint would return, or an "error" event.
+// one "progress" event per adaptive round or tail-chain attempt (fixed-N
+// runs included, with convergence disabled) carrying cumulative estimates
+// and CI half-widths, then one "result" event whose data is the exact
+// QueryResponse the non-streaming endpoint would return, or an "error"
+// event.
 type QueryRequest struct {
 	SQL     string `json:"sql"`
 	Seed    uint64 `json:"seed,omitempty"`

@@ -514,48 +514,59 @@ func TestServerStreamAdaptive(t *testing.T) {
 	}
 }
 
-// TestServerStreamFixedN: stream=1 on a fixed MONTECARLO(n) statement
-// emits progressive partials and a final result identical to the
-// non-streaming run.
+// TestServerStreamFixedN: stream=1 on a fixed MONTECARLO(n) statement,
+// plain or DOMAIN, emits progressive partials and a final result identical
+// to the non-streaming run.
 func TestServerStreamFixedN(t *testing.T) {
 	s := New(testEngine(t), Options{MaxConcurrent: 2})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	sql := `SELECT SUM(val) AS totalLoss FROM Losses WITH RESULTDISTRIBUTION MONTECARLO(300)`
-	events := postSSE(t, ts.URL+"/query?stream=1", QueryRequest{SQL: sql})
-	var final *QueryResponse
-	nProgress := 0
-	for _, ev := range events {
-		switch ev.name {
-		case "progress":
-			nProgress++
-		case "result":
-			var q QueryResponse
-			if err := json.Unmarshal(ev.data, &q); err != nil {
-				t.Fatal(err)
+	for _, req := range []QueryRequest{
+		{SQL: `SELECT SUM(val) AS totalLoss FROM Losses WITH RESULTDISTRIBUTION MONTECARLO(300)`},
+		{SQL: `SELECT SUM(val) AS totalLoss FROM Losses WITH RESULTDISTRIBUTION MONTECARLO(30)
+DOMAIN totalLoss >= QUANTILE(0.9)`, TotalSamples: 100},
+	} {
+		events := postSSE(t, ts.URL+"/query?stream=1", req)
+		var final *QueryResponse
+		nProgress := 0
+		for _, ev := range events {
+			switch ev.name {
+			case "progress":
+				nProgress++
+			case "result":
+				var q QueryResponse
+				if err := json.Unmarshal(ev.data, &q); err != nil {
+					t.Fatal(err)
+				}
+				final = &q
+			case "error":
+				t.Fatalf("error event: %s", ev.data)
 			}
-			final = &q
-		case "error":
-			t.Fatalf("error event: %s", ev.data)
 		}
-	}
-	if nProgress == 0 || final == nil {
-		t.Fatalf("progress = %d, final = %v", nProgress, final)
-	}
-	if final.Dist == nil || final.Dist.N != 300 {
-		t.Fatalf("final dist = %+v", final.Dist)
-	}
-	resp, body := postJSON(t, ts.URL+"/query", QueryRequest{SQL: sql})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("non-streaming = %d: %s", resp.StatusCode, body)
-	}
-	var plain QueryResponse
-	if err := json.Unmarshal(body, &plain); err != nil {
-		t.Fatal(err)
-	}
-	if *plain.Dist != *final.Dist {
-		t.Fatalf("dist mismatch:\nstream = %+v\nplain  = %+v", *final.Dist, *plain.Dist)
+		if nProgress == 0 || final == nil {
+			t.Fatalf("%s: progress = %d, final = %v", req.SQL, nProgress, final)
+		}
+		resp, body := postJSON(t, ts.URL+"/query", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("non-streaming = %d: %s", resp.StatusCode, body)
+		}
+		var plain QueryResponse
+		if err := json.Unmarshal(body, &plain); err != nil {
+			t.Fatal(err)
+		}
+		if plain.Tail != nil {
+			if final.Tail == nil || final.Tail.N != 30 || *plain.Tail != *final.Tail {
+				t.Fatalf("tail mismatch:\nstream = %+v\nplain  = %+v", final.Tail, *plain.Tail)
+			}
+			continue
+		}
+		if final.Dist == nil || final.Dist.N != 300 {
+			t.Fatalf("final dist = %+v", final.Dist)
+		}
+		if plain.Dist == nil || *plain.Dist != *final.Dist {
+			t.Fatalf("dist mismatch:\nstream = %+v\nplain  = %+v", *final.Dist, plain.Dist)
+		}
 	}
 }
 

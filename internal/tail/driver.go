@@ -3,11 +3,10 @@ package tail
 import (
 	"fmt"
 
-	"repro/internal/exec"
 	"repro/internal/gibbs"
 )
 
-// Options configures Sample beyond the statistical essentials.
+// Options configures tail sampling beyond the statistical essentials.
 type Options struct {
 	// TotalSamples is the budget N across all bootstrapping steps; when 0
 	// it is derived from MSRETarget (default target 0.05).
@@ -21,25 +20,9 @@ type Options struct {
 	ForceM int
 	// MaxTriesPerUpdate bounds rejection sampling (see gibbs.Config).
 	MaxTriesPerUpdate int
-	// SpillDir receives priority-queue spill files.
-	SpillDir string
 	// Parallelism is the number of worker goroutines for batch version
 	// recomputation (see gibbs.Config.Parallelism); <= 1 is sequential.
 	Parallelism int
-}
-
-// Sample runs MCDB-R tail sampling: it estimates the (1-p)-quantile of the
-// query-result distribution of the plan in ws and returns l samples from
-// the tail beyond it, choosing Algorithm 3 parameters per Appendix C.
-func Sample(ws *exec.Workspace, plan exec.Node, q gibbs.Query, p float64, l int, opts Options) (*gibbs.Result, error) {
-	cfg, err := Configure(p, l, opts)
-	if err != nil {
-		return nil, err
-	}
-	if ws.Window < cfg.N {
-		return nil, fmt.Errorf("tail: workspace window %d < per-step sample size %d; rebuild the workspace with a larger window", ws.Window, cfg.N)
-	}
-	return gibbs.Run(ws, plan, q, cfg)
 }
 
 // Configure converts user-level options into a gibbs.Config using the
@@ -78,7 +61,6 @@ func Configure(p float64, l int, opts Options) (gibbs.Config, error) {
 		L:                 l,
 		K:                 opts.K,
 		MaxTriesPerUpdate: opts.MaxTriesPerUpdate,
-		SpillDir:          opts.SpillDir,
 		Parallelism:       opts.Parallelism,
 	}, nil
 }

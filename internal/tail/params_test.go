@@ -209,8 +209,8 @@ func TestConfigure(t *testing.T) {
 }
 
 func TestSampleEndToEnd(t *testing.T) {
-	// Drive the full stack through the tail driver and check against the
-	// analytic quantile of a sum of normals.
+	// Drive the full stack through Configure and the looper and check
+	// against the analytic quantile of a sum of normals.
 	cat := storage.NewCatalog()
 	means := storage.NewTable("means", types.NewSchema(
 		types.Column{Name: "cid", Kind: types.KindInt},
@@ -234,8 +234,11 @@ func TestSampleEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := &exec.Instantiate{Child: seed}
-	res, err := Sample(ws, plan, gibbs.Query{Agg: exec.AggSpec{Kind: exec.AggSum, Expr: expr.C("val")}},
-		0.01, 50, Options{TotalSamples: 400})
+	cfg, err := Configure(0.01, 50, Options{TotalSamples: 400})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := gibbs.Run(ws, plan, gibbs.Query{Agg: exec.AggSpec{Kind: exec.AggSum, Expr: expr.C("val")}}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,22 +248,5 @@ func TestSampleEndToEnd(t *testing.T) {
 	}
 	if len(res.TailSamples) != 50 {
 		t.Fatalf("samples = %d", len(res.TailSamples))
-	}
-}
-
-func TestSampleWindowValidation(t *testing.T) {
-	cat := storage.NewCatalog()
-	tbl := storage.NewTable("t", types.NewSchema(types.Column{Name: "m", Kind: types.KindFloat}))
-	tbl.MustAppend(types.Row{types.NewFloat(1)})
-	cat.Put(tbl)
-	normal, _ := vg.NewRegistry().Lookup("Normal")
-	ws := exec.NewWorkspace(cat, prng.NewStream(1), 4) // tiny window
-	scan, _ := exec.NewScan(cat, "t", "t")
-	seed, _ := exec.NewSeed(scan, normal, []expr.Expr{expr.C("m"), expr.F(1)}, []string{"v"})
-	plan := &exec.Instantiate{Child: seed}
-	_, err := Sample(ws, plan, gibbs.Query{Agg: exec.AggSpec{Kind: exec.AggSum, Expr: expr.C("v")}},
-		0.01, 10, Options{TotalSamples: 400})
-	if err == nil {
-		t.Fatal("window smaller than per-step N must be rejected")
 	}
 }

@@ -10,7 +10,9 @@ package mcdbr
 // MONTECARLO(m) run at every worker count. DOMAIN tail queries instead
 // double the conditioned chain length per attempt until the expected-
 // shortfall interval meets the target — the final attempt is literally a
-// fixed-length tail run, so its samples match MONTECARLO(L) exactly.
+// fixed-length tail run, so its samples match MONTECARLO(L) exactly, and a
+// fixed MONTECARLO(L) DOMAIN query is the one-attempt case of the same
+// driver.
 
 import (
 	"context"
@@ -20,6 +22,7 @@ import (
 	"repro/internal/gibbs"
 	"repro/internal/plan"
 	"repro/internal/stats"
+	"repro/internal/tail"
 	"repro/internal/types"
 )
 
@@ -78,9 +81,9 @@ type AdaptiveReport struct {
 }
 
 // ProgressUpdate is the progressive-result payload delivered to
-// RunOptions.Progress after every adaptive round — the engine-level form
-// of the SSE events the serving layer streams. The CIs slice is freshly
-// allocated per call and may be retained.
+// RunOptions.Progress after every round or tail-chain attempt — the
+// engine-level form of the SSE events the serving layer streams. The CIs
+// slice is freshly allocated per call and may be retained.
 type ProgressUpdate struct {
 	// Round counts completed rounds (1-based).
 	Round int
@@ -95,8 +98,8 @@ type ProgressUpdate struct {
 
 // runParams bundles the per-run execution knobs threaded from the public
 // entry points (Exec, PreparedQuery.RunCtx, the QueryBuilder Monte Carlo
-// methods) into runSelectCompiled and runPlain, so adding a knob does not
-// grow every signature on the path.
+// and tail methods) into runSelectCompiled, runPlain and runTails, so
+// adding a knob does not grow every signature on the path.
 type runParams struct {
 	// ctx carries run cancellation; nil means "never cancelled".
 	ctx      context.Context
@@ -110,9 +113,10 @@ type runParams struct {
 	// degrade opts adaptive runs into graceful deadline degradation
 	// (RunOptions.DegradeOnDeadline); fixed-N runs ignore it.
 	degrade bool
-	// progress, when non-nil, selects progressive execution: fixed-N
+	// progress, when non-nil, selects progressive execution: fixed-N plain
 	// statements run geometric rounds up to n instead of one round (with
-	// convergence disabled), and the callback fires after every round.
+	// convergence disabled), and the callback fires after every round or
+	// tail-chain attempt.
 	progress func(ProgressUpdate)
 }
 
@@ -238,33 +242,155 @@ func (e *Engine) runPlain(c *compiled, rp runParams, rule *gibbs.StopRule) (*Gro
 	return gd, adaptiveReport(c, res, r), nil
 }
 
-// runTailAdaptive runs one conditioned Gibbs tail chain under an adaptive
-// stopping rule by doubling the chain length per attempt: L, 2L, 4L, ...
-// up to rule.MaxSamples, stopping once the expected-shortfall interval
-// (normal approximation over the conditioned samples, which the estimator
-// treats as equally weighted) is relatively tighter than the target. Each
-// attempt is a complete fixed-length run, so the returned TailResult is
-// bit-identical to MONTECARLO(L) DOMAIN execution at the final L. It
-// returns the tail, its final interval, the attempt count, and whether the
-// result is a deadline-degraded earlier attempt (rule.DegradeOnDeadline:
-// when a longer chain's deadline fires, the last completed attempt — still
-// a full fixed-length run — is returned instead of the error).
-func (e *Engine) runTailAdaptive(ctx context.Context, c *compiled, gq gibbs.Query, p float64, rule gibbs.StopRule, opts TailSampleOptions, seed uint64, maxBytes int64, group string, progress func(ProgressUpdate)) (*TailResult, AggregateCI, int, bool, error) {
-	rule = rule.Normalized()
-	L := rule.FirstRound
-	if L > rule.MaxSamples {
-		L = rule.MaxSamples
+// runTails is the one DOMAIN tail-sampling path: Exec, PreparedQuery.Run
+// and QueryBuilder.TailSample/TailSampleGrouped all run through it. A GROUP
+// BY query over g groups is g conditioned Gibbs chains over one shared
+// compiled plan (paper App. A): the groups are discovered from one plan run
+// (shared with the chains through the deterministic-prefix cache) and each
+// chain is restricted to its group's tuples, exactly as if the query had a
+// per-group selection predicate. An ungrouped query is the single group
+// with an empty key: no discovery run, no restriction. The chain schedule
+// is picked the way runPlain picks its rounds: a stopping rule runs as
+// given; otherwise a fixed MONTECARLO(n) DOMAIN run is StopRule{MaxSamples:
+// n, FirstRound: n}, one attempt of length n. The report is nil unless a
+// rule or a progress callback is set.
+func (e *Engine) runTails(c *compiled, rp runParams, rule *gibbs.StopRule, p float64, opts TailSampleOptions) (*GroupedTail, *AdaptiveReport, error) {
+	if len(c.agg.Aggs) > 1 {
+		return nil, nil, fmt.Errorf("mcdbr: DOMAIN tail sampling conditions on a single aggregate; the query has %d", len(c.agg.Aggs))
 	}
+	if c.agg.Having != nil {
+		return nil, nil, fmt.Errorf("mcdbr: HAVING is not supported with DOMAIN tail sampling; drop the DOMAIN clause or the HAVING clause")
+	}
+	var r gibbs.StopRule
+	switch {
+	case rule != nil:
+		r = *rule
+	case rp.n < 1:
+		// Normalized would turn MaxSamples 0 into the adaptive default.
+		return nil, nil, fmt.Errorf("mcdbr: need l >= 1 tail samples, got %d", rp.n)
+	default:
+		r.MaxSamples, r.FirstRound = rp.n, rp.n
+	}
+	r = r.Normalized()
+	topts := tail.Options{
+		TotalSamples:      opts.TotalSamples,
+		MSRETarget:        opts.MSRETarget,
+		K:                 opts.K,
+		ForceM:            opts.ForceM,
+		MaxTriesPerUpdate: opts.MaxTriesPerUpdate,
+		Parallelism:       opts.Parallelism,
+	}
+	if topts.Parallelism == 0 {
+		topts.Parallelism = rp.workers
+	}
+	// The looper query is a copy, never the compiled plan's, so one plan can
+	// serve concurrent runs.
+	gq := c.gq
+	gq.LowerTail = opts.Lower
+	grouped := c.grouped()
+	keys := []types.Row{nil}
+	if grouped {
+		dws := e.newRunWorkspace(rp.seed, e.window, rp.maxBytes)
+		dws.Ctx = rp.ctx
+		var err error
+		if keys, err = c.agg.StreamGroupKeys(dws); err != nil {
+			return nil, nil, err
+		}
+		gq.GroupBy = c.agg.GroupBy
+	}
+	out := &GroupedTail{GroupCols: c.agg.GroupColNames(), AggCol: c.agg.AggColNames()[0]}
+	report := &AdaptiveReport{
+		TargetRelError: r.TargetRelError,
+		Confidence:     r.Confidence,
+		MaxSamples:     r.MaxSamples,
+		Converged:      true,
+	}
+	progress := rp.progress
+	if progress != nil {
+		// Renumber rounds globally across groups so the progressive stream
+		// stays monotone.
+		round := 0
+		progress = func(u ProgressUpdate) {
+			round++
+			u.Round = round
+			rp.progress(u)
+		}
+	}
+	for _, key := range keys {
+		gq.GroupKey = key
+		tr, ci, attempts, degraded, err := e.runTailChain(c, rp, gq, p, r, topts, formatGroupKey(key), progress)
+		if err != nil {
+			// Deadline degradation across groups: if at least one group's
+			// chain completed, report those groups partially instead of
+			// failing the whole query.
+			if r.DegradeOnDeadline && len(out.Groups) > 0 && errors.Is(err, context.DeadlineExceeded) {
+				report.Degraded, report.Converged = true, false
+				break
+			}
+			if grouped {
+				err = fmt.Errorf("mcdbr: group %s: %w", formatGroupKey(key), err)
+			}
+			return nil, nil, err
+		}
+		out.Groups = append(out.Groups, GroupTail{Key: key, Tail: tr})
+		report.SamplesUsed += len(tr.Samples)
+		report.Rounds += attempts
+		report.CIs = append(report.CIs, ci)
+		report.Converged = report.Converged && ci.Converged
+		if degraded {
+			// The deadline already fired mid-chain; later groups would only
+			// burn their first attempt against an expired context.
+			report.Degraded, report.Converged = true, false
+			break
+		}
+	}
+	if rule == nil && rp.progress == nil {
+		return out, nil, nil
+	}
+	return out, report, nil
+}
+
+// runTailChain runs one group's conditioned Gibbs chain under rule r by
+// doubling the chain length per attempt: L, 2L, 4L, ... up to r.MaxSamples,
+// stopping once the expected-shortfall interval (normal approximation over
+// the conditioned samples, which the estimator treats as equally weighted)
+// is relatively tighter than the target. Each attempt is a complete
+// fixed-length run in a fresh per-run workspace, so the returned tail is
+// bit-identical to MONTECARLO(L) DOMAIN execution at the final L; a fixed
+// run is the one attempt L = r.MaxSamples. It returns the tail, its final
+// interval, the attempt count, and whether the tail is a deadline-degraded
+// earlier attempt (r.DegradeOnDeadline: when a longer chain's deadline
+// fires, the last completed attempt — still a full fixed-length run — is
+// returned instead of the error).
+func (e *Engine) runTailChain(c *compiled, rp runParams, gq gibbs.Query, p float64, r gibbs.StopRule, topts tail.Options, group string, progress func(ProgressUpdate)) (*TailResult, AggregateCI, int, bool, error) {
+	L := min(r.FirstRound, r.MaxSamples)
 	aggName := c.agg.AggColNames()[0]
 	var lastTR *TailResult
 	var lastCI AggregateCI
 	for attempt := 1; ; attempt++ {
-		tr, err := e.runTailWith(ctx, c, gq, p, L, opts, seed, maxBytes)
+		cfg, err := tail.Configure(p, L, topts)
 		if err != nil {
-			if rule.DegradeOnDeadline && lastTR != nil && errors.Is(err, context.DeadlineExceeded) {
+			return nil, AggregateCI{}, attempt, false, err
+		}
+		ws := e.newRunWorkspace(rp.seed, max(e.window, cfg.N+cfg.L), rp.maxBytes)
+		ws.Ctx = rp.ctx
+		res, err := gibbs.Run(ws, c.agg.Child, gq, cfg)
+		if err != nil {
+			if r.DegradeOnDeadline && lastTR != nil && errors.Is(err, context.DeadlineExceeded) {
 				return lastTR, lastCI, attempt, true, nil
 			}
 			return nil, AggregateCI{}, attempt, false, err
+		}
+		if err := stats.CheckFinite(res.TailSamples); err != nil {
+			return nil, AggregateCI{}, attempt, false, fmt.Errorf("mcdbr: tail sampling produced a non-finite query result (%w); check VG parameters and aggregate expressions", err)
+		}
+		tr := &TailResult{
+			Distribution:      *newDistribution(res.TailSamples),
+			QuantileEstimate:  res.Quantile,
+			P:                 p,
+			Lower:             gq.LowerTail,
+			ExpectedShortfall: stats.ExpectedShortfall(res.TailSamples),
+			Diag:              res,
 		}
 		var w stats.Welford
 		w.AddAll(tr.Samples)
@@ -273,92 +399,20 @@ func (e *Engine) runTailAdaptive(ctx context.Context, c *compiled, gq gibbs.Quer
 			Agg:       aggName,
 			N:         w.N(),
 			Mean:      w.Mean(),
-			HalfWidth: w.HalfWidth(rule.Confidence),
-			RelError:  w.RelHalfWidth(rule.Confidence),
+			HalfWidth: w.HalfWidth(r.Confidence),
+			RelError:  w.RelHalfWidth(r.Confidence),
 		}
-		ci.Converged = rule.TargetRelError > 0 && ci.RelError <= rule.TargetRelError
+		ci.Converged = r.TargetRelError > 0 && ci.RelError <= r.TargetRelError
 		if ci.Converged {
 			ci.ConvergedAt = L
 		}
 		if progress != nil {
 			progress(ProgressUpdate{Round: attempt, SamplesUsed: L, Converged: ci.Converged, CIs: []AggregateCI{ci}})
 		}
-		if ci.Converged || L >= rule.MaxSamples {
+		if ci.Converged || L >= r.MaxSamples {
 			return tr, ci, attempt, false, nil
 		}
 		lastTR, lastCI = tr, ci
-		L *= 2
-		if L > rule.MaxSamples {
-			L = rule.MaxSamples
-		}
+		L = min(2*L, r.MaxSamples)
 	}
-}
-
-// runGroupedTailAdaptive is the per-group form: groups are discovered from
-// one plan run (as in runGroupedTail), then every group's chain stops
-// independently — a low-variance group settles at a short chain while a
-// heavy-tailed one keeps doubling, which is where grouped tail queries
-// recover most of their adaptive savings.
-func (e *Engine) runGroupedTailAdaptive(ctx context.Context, c *compiled, p float64, rule gibbs.StopRule, opts TailSampleOptions, seed uint64, maxBytes int64, progress func(ProgressUpdate)) (*GroupedTail, *AdaptiveReport, error) {
-	rule = rule.Normalized()
-	dws := e.newRunWorkspace(seed, e.window, maxBytes)
-	dws.Ctx = ctx
-	keys, err := c.agg.StreamGroupKeys(dws)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := &GroupedTail{
-		GroupCols: c.agg.GroupColNames(),
-		AggCol:    c.agg.AggColNames()[0],
-	}
-	report := &AdaptiveReport{
-		TargetRelError: rule.TargetRelError,
-		Confidence:     rule.Confidence,
-		MaxSamples:     rule.MaxSamples,
-		Converged:      true,
-	}
-	round := 0
-	gp := progress
-	if progress != nil {
-		// Renumber rounds globally across groups so the progressive stream
-		// stays monotone.
-		gp = func(u ProgressUpdate) {
-			round++
-			u.Round = round
-			progress(u)
-		}
-	}
-	for _, key := range keys {
-		gq := c.gq
-		gq.LowerTail = opts.Lower
-		gq.GroupBy = c.agg.GroupBy
-		gq.GroupKey = key
-		tr, ci, attempts, degraded, err := e.runTailAdaptive(ctx, c, gq, p, rule, opts, seed, maxBytes, formatGroupKey(key), gp)
-		if err != nil {
-			// Deadline degradation for grouped tails: if at least one group's
-			// chain completed, report those groups partially instead of
-			// failing the whole query.
-			if rule.DegradeOnDeadline && len(out.Groups) > 0 && errors.Is(err, context.DeadlineExceeded) {
-				report.Degraded = true
-				report.Converged = false
-				break
-			}
-			return nil, nil, fmt.Errorf("mcdbr: group %s: %w", formatGroupKey(key), err)
-		}
-		out.Groups = append(out.Groups, GroupTail{Key: key, Tail: tr})
-		report.SamplesUsed += len(tr.Samples)
-		report.Rounds += attempts
-		report.CIs = append(report.CIs, ci)
-		if !ci.Converged {
-			report.Converged = false
-		}
-		if degraded {
-			// The deadline already fired mid-chain; later groups would only
-			// burn their first attempt against an expired context.
-			report.Degraded = true
-			report.Converged = false
-			break
-		}
-	}
-	return out, report, nil
 }

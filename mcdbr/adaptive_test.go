@@ -171,45 +171,76 @@ func TestRunCtxCancellation(t *testing.T) {
 
 // TestProgressiveFixedN: a Progress callback on a fixed-N statement streams
 // partial estimates while the final result stays bit-identical to a plain
-// run.
+// run. Plain Monte Carlo reports growing rounds up to n; a fixed DOMAIN run
+// reports one event per group chain of length n, numbered monotonically
+// across groups.
 func TestProgressiveFixedN(t *testing.T) {
 	e := lossEngine(t, 15, 9)
-	p, err := e.Prepare(`SELECT SUM(val) FROM Losses WITH RESULTDISTRIBUTION MONTECARLO(500)`)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name, sql string
+		n         int
+	}{
+		{"plain", `SELECT SUM(val) FROM Losses WITH RESULTDISTRIBUTION MONTECARLO(500)`, 500},
+		{"tail", `SELECT SUM(val) AS x FROM Losses WITH RESULTDISTRIBUTION MONTECARLO(20)
+DOMAIN x >= QUANTILE(0.9)`, 20},
+		{"grouped_tail", `SELECT SUM(val) AS x FROM Losses GROUP BY CID
+WITH RESULTDISTRIBUTION MONTECARLO(20) DOMAIN x >= QUANTILE(0.9)`, 20},
 	}
-	var updates []ProgressUpdate
-	res, err := p.Run(RunOptions{Progress: func(u ProgressUpdate) { updates = append(updates, u) }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(updates) == 0 {
-		t.Fatal("no progress updates")
-	}
-	prev := 0
-	for _, u := range updates {
-		if u.SamplesUsed <= prev {
-			t.Fatalf("samples not increasing: %+v", updates)
-		}
-		prev = u.SamplesUsed
-	}
-	if last := updates[len(updates)-1]; last.SamplesUsed != 500 {
-		t.Fatalf("final update at %d samples, want 500", last.SamplesUsed)
-	}
-	if res.Adaptive == nil || res.Adaptive.Converged {
-		t.Fatalf("progressive fixed-N report = %+v", res.Adaptive)
-	}
-	plain, err := p.Run(RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plain.Dist.Samples) != len(res.Dist.Samples) {
-		t.Fatalf("sample counts differ: %d vs %d", len(plain.Dist.Samples), len(res.Dist.Samples))
-	}
-	for i := range plain.Dist.Samples {
-		if plain.Dist.Samples[i] != res.Dist.Samples[i] {
-			t.Fatalf("sample %d differs: %v vs %v", i, plain.Dist.Samples[i], res.Dist.Samples[i])
-		}
+	tail := TailSampleOptions{TotalSamples: 100}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := e.Prepare(tc.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var updates []ProgressUpdate
+			res, err := p.Run(RunOptions{Tail: tail, Progress: func(u ProgressUpdate) { updates = append(updates, u) }})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(updates) == 0 {
+				t.Fatal("no progress updates")
+			}
+			for i, u := range updates {
+				if u.Round != i+1 {
+					t.Fatalf("update %d has round %d: %+v", i, u.Round, updates)
+				}
+			}
+			if last := updates[len(updates)-1]; last.SamplesUsed != tc.n {
+				t.Fatalf("final update at %d samples, want %d", last.SamplesUsed, tc.n)
+			}
+			switch res.Kind {
+			case ExecDistribution:
+				prev := 0
+				for _, u := range updates {
+					if u.SamplesUsed <= prev {
+						t.Fatalf("samples not increasing: %+v", updates)
+					}
+					prev = u.SamplesUsed
+				}
+			case ExecTail:
+				if len(updates) != 1 {
+					t.Fatalf("fixed tail sent %d updates, want 1", len(updates))
+				}
+			case ExecGroupedTail:
+				if len(updates) != len(res.GroupedTail.Groups) || len(updates) < 2 {
+					t.Fatalf("%d updates for %d group chains", len(updates), len(res.GroupedTail.Groups))
+				}
+			}
+			if res.Adaptive == nil || res.Adaptive.Converged {
+				t.Fatalf("progressive fixed-N report = %+v", res.Adaptive)
+			}
+			plain, err := p.Run(RunOptions{Tail: tail})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plain.Adaptive != nil {
+				t.Fatalf("fixed-N run without progress has a report: %+v", plain.Adaptive)
+			}
+			if ResultBits(t, plain) != ResultBits(t, res) {
+				t.Fatal("progressive result diverges from the plain run")
+			}
+		})
 	}
 }
 

@@ -242,17 +242,37 @@ func TestNaNResultsRejected(t *testing.T) {
 	}
 }
 
-// TestNaNTailRejected covers the tail-sampling path.
+// TestNaNTailRejected covers the tail-sampling path: fixed, adaptive and
+// grouped DOMAIN runs all fail descriptively, and only the grouped error
+// names a group.
 func TestNaNTailRejected(t *testing.T) {
 	e := vgEngine(t, nanVG{}, 1)
-	_, err := e.ExecWithOptions(`SELECT SUM(val) AS x FROM bad
+	for _, tc := range []struct {
+		name, sql string
+		grouped   bool
+	}{
+		{"fixed", `SELECT SUM(val) AS x FROM bad
 WITH RESULTDISTRIBUTION MONTECARLO(10)
-DOMAIN x >= QUANTILE(0.9)`, mcdbr.TailSampleOptions{TotalSamples: 60})
-	if err == nil {
-		t.Fatal("expected non-finite-result error from tail sampling")
-	}
-	if !strings.Contains(err.Error(), "NaN") && !strings.Contains(err.Error(), "non-finite") {
-		t.Fatalf("error not descriptive: %v", err)
+DOMAIN x >= QUANTILE(0.9)`, false},
+		{"until", `SELECT SUM(val) AS x FROM bad
+WITH RESULTDISTRIBUTION MONTECARLO(UNTIL ERROR < 0.01 AT 95%, MAX 40)
+DOMAIN x >= QUANTILE(0.9)`, false},
+		{"grouped", `SELECT SUM(val) AS x FROM bad GROUP BY cid
+WITH RESULTDISTRIBUTION MONTECARLO(10)
+DOMAIN x >= QUANTILE(0.9)`, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := e.ExecWithOptions(tc.sql, mcdbr.TailSampleOptions{TotalSamples: 60})
+			if err == nil {
+				t.Fatal("expected non-finite-result error from tail sampling")
+			}
+			if !strings.Contains(err.Error(), "NaN") && !strings.Contains(err.Error(), "non-finite") {
+				t.Fatalf("error not descriptive: %v", err)
+			}
+			if named := strings.Contains(err.Error(), "group "); named != tc.grouped {
+				t.Fatalf("error names a group = %v, want %v: %v", named, tc.grouped, err)
+			}
+		})
 	}
 }
 

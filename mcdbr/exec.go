@@ -489,15 +489,8 @@ func (e *Engine) compileSelect(s *sqlish.SelectStmt) (*compiled, error) {
 	return qb.compile()
 }
 
-// domainTailProbability maps the DOMAIN clause to the looper's upper/lower
-// tail probability, validating the aggregate alias reference.
-func domainTailProbability(s *sqlish.SelectStmt) (float64, error) {
-	if alias := s.Items[0].Alias; alias != "" && !strings.EqualFold(s.Domain.Name, alias) {
-		return 0, fmt.Errorf("mcdbr: DOMAIN references %q but the aggregate is named %q", s.Domain.Name, alias)
-	}
-	return domainP(s.Domain), nil
-}
-
+// domainP maps the DOMAIN clause to the looper's upper/lower tail
+// probability.
 func domainP(d *sqlish.Domain) float64 {
 	if d.Lower {
 		return d.Quantile
@@ -524,23 +517,22 @@ func validateSelect(c *compiled, s *sqlish.SelectStmt) error {
 		if c.agg.Having != nil {
 			return fmt.Errorf("mcdbr: HAVING is not supported with DOMAIN tail sampling; drop the DOMAIN clause or the HAVING clause")
 		}
-		if _, err := domainTailProbability(s); err != nil {
-			return err
+		if alias := s.Items[0].Alias; alias != "" && !strings.EqualFold(s.Domain.Name, alias) {
+			return fmt.Errorf("mcdbr: DOMAIN references %q but the aggregate is named %q", s.Domain.Name, alias)
 		}
 	}
 	return nil
 }
 
-// runSelectCompiled dispatches an already-compiled WITH RESULTDISTRIBUTION
-// statement: plain Monte Carlo without DOMAIN (single-pass grouped when
-// the query has GROUP BY or several aggregates), tail sampling with it
-// (one conditioned Gibbs run per group when grouped). Plain queries run
-// through runPlain, which picks their round schedule; an adaptive stopping
-// rule — from the statement's UNTIL clause or a per-run override — routes
-// tail queries through per-group chain doubling. It is the shared
-// execution path of Exec and
-// PreparedQuery.Run; the runParams knobs are per-run so prepared queries
-// can override them.
+// runSelectCompiled executes an already-compiled WITH RESULTDISTRIBUTION
+// statement through one of two drivers: runTails for DOMAIN tail sampling
+// (one conditioned Gibbs chain per group; an ungrouped query is the single
+// group), runPlain for everything else (single-pass grouped when the query
+// has GROUP BY or several aggregates). Each driver picks its own schedule
+// from the stopping rule — the statement's UNTIL clause or a per-run
+// override — and the run's progress callback. It is the shared execution
+// path of Exec and PreparedQuery.Run; the runParams knobs are per-run so
+// prepared queries can override them.
 func (e *Engine) runSelectCompiled(c *compiled, s *sqlish.SelectStmt, opts TailSampleOptions, rp runParams) (*ExecResult, error) {
 	if err := validateSelect(c, s); err != nil {
 		return nil, err
@@ -555,52 +547,17 @@ func (e *Engine) runSelectCompiled(c *compiled, s *sqlish.SelectStmt, opts TailS
 		rule.DegradeOnDeadline = rp.degrade
 	}
 	if s.Domain != nil {
-		p, err := domainTailProbability(s)
+		opts.Lower = s.Domain.Lower
+		gt, report, err := e.runTails(c, rp, rule, domainP(s.Domain), opts)
 		if err != nil {
 			return nil, err
-		}
-		opts.Lower = s.Domain.Lower
-		if rule != nil {
-			if grouped {
-				gt, report, err := e.runGroupedTailAdaptive(rp.ctx, c, p, *rule, opts, rp.seed, rp.maxBytes, rp.progress)
-				if err != nil {
-					return nil, err
-				}
-				return &ExecResult{Kind: ExecGroupedTail, GroupedTail: gt, GroupTails: gt.TailMap(), Adaptive: report}, nil
-			}
-			gq := c.gq
-			gq.LowerTail = opts.Lower
-			norm := rule.Normalized()
-			tr, ci, attempts, degraded, err := e.runTailAdaptive(rp.ctx, c, gq, p, norm, opts, rp.seed, rp.maxBytes, "", rp.progress)
-			if err != nil {
-				return nil, err
-			}
-			e.registerFTable(s, &tr.Distribution)
-			report := &AdaptiveReport{
-				TargetRelError: norm.TargetRelError,
-				Confidence:     norm.Confidence,
-				MaxSamples:     norm.MaxSamples,
-				SamplesUsed:    len(tr.Samples),
-				Rounds:         attempts,
-				Converged:      ci.Converged,
-				Degraded:       degraded,
-				CIs:            []AggregateCI{ci},
-			}
-			return &ExecResult{Kind: ExecTail, Tail: tr, Adaptive: report}, nil
 		}
 		if grouped {
-			gt, err := e.runGroupedTail(rp.ctx, c, p, rp.n, opts, rp.seed, rp.maxBytes)
-			if err != nil {
-				return nil, err
-			}
-			return &ExecResult{Kind: ExecGroupedTail, GroupedTail: gt, GroupTails: gt.TailMap()}, nil
+			return &ExecResult{Kind: ExecGroupedTail, GroupedTail: gt, GroupTails: gt.TailMap(), Adaptive: report}, nil
 		}
-		tr, err := e.runTail(rp.ctx, c, p, rp.n, opts, rp.seed, rp.maxBytes)
-		if err != nil {
-			return nil, err
-		}
+		tr := gt.Groups[0].Tail
 		e.registerFTable(s, &tr.Distribution)
-		return &ExecResult{Kind: ExecTail, Tail: tr}, nil
+		return &ExecResult{Kind: ExecTail, Tail: tr, Adaptive: report}, nil
 	}
 	gd, report, err := e.runPlain(c, rp, rule)
 	if err != nil {

@@ -13,9 +13,10 @@ import (
 	"repro/internal/workload"
 )
 
-// ResultBits fingerprints a plain or grouped Monte Carlo result down to
-// the bit pattern of every sample and, per group, the key and HAVING
-// inclusion, so two results compare equal iff they are bit-identical.
+// ResultBits fingerprints a plain, grouped or tail Monte Carlo result down
+// to the bit pattern of every sample and, per group, the key and HAVING
+// inclusion (tails: the quantile estimate), so two results compare equal
+// iff they are bit-identical.
 // Exported for the external mcdbr_test package's identity tests.
 func ResultBits(t testing.TB, res *ExecResult) string {
 	t.Helper()
@@ -36,6 +37,14 @@ func ResultBits(t testing.TB, res *ExecResult) string {
 			for _, d := range g.Dists {
 				bits(d.Samples)
 			}
+		}
+	case ExecTail:
+		fmt.Fprintf(&sb, "q=%016x ", math.Float64bits(res.Tail.QuantileEstimate))
+		bits(res.Tail.Samples)
+	case ExecGroupedTail:
+		for _, g := range res.GroupedTail.Groups {
+			fmt.Fprintf(&sb, "\ngroup %s q=%016x ", g.KeyString(), math.Float64bits(g.Tail.QuantileEstimate))
+			bits(g.Tail.Samples)
 		}
 	default:
 		t.Fatalf("unexpected result kind %v", res.Kind)
@@ -342,6 +351,14 @@ func TestQueryValidationErrors(t *testing.T) {
 	}
 	if _, err := e.Query().From("losses", "").SelectCount().MonteCarloGrouped(0); err == nil || !strings.Contains(err.Error(), "n >= 1") {
 		t.Fatalf("MonteCarloGrouped(0) must error with need n >= 1, got %v", err)
+	}
+	// Likewise a tail run needs l >= 1 conditioned samples, not the
+	// adaptive driver's default chain cap.
+	if _, err := e.Query().From("losses", "").SelectSum(expr.C("val")).TailSample(0.1, 0, TailSampleOptions{TotalSamples: 100}); err == nil || !strings.Contains(err.Error(), "l >= 1") {
+		t.Fatalf("TailSample(0.1, 0) must error with need l >= 1, got %v", err)
+	}
+	if _, err := e.Query().From("losses", "").SelectSum(expr.C("val")).GroupBy(expr.C("cid")).TailSampleGrouped(0.1, 0, TailSampleOptions{TotalSamples: 100}); err == nil || !strings.Contains(err.Error(), "l >= 1") {
+		t.Fatalf("TailSampleGrouped(0.1, 0) must error with need l >= 1, got %v", err)
 	}
 	// cid exists in both losses and means: ambiguous, and the error must
 	// name the candidate aliases.

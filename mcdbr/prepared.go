@@ -68,7 +68,8 @@ type RunOptions struct {
 	// cumulative estimates and CI half-widths, from the run's goroutine.
 	// Setting it on a fixed-N statement runs the round driver with
 	// convergence disabled, so partial estimates stream while the final
-	// result stays bit-identical to a plain run.
+	// result stays bit-identical to a plain run; a fixed DOMAIN statement
+	// reports once per group chain.
 	Progress func(ProgressUpdate)
 }
 
@@ -180,10 +181,6 @@ func (p *PreparedQuery) RunCtx(ctx context.Context, opts RunOptions) (res *ExecR
 	if opts.Samples > 0 {
 		n = opts.Samples
 	}
-	topts := opts.Tail
-	if topts.Parallelism == 0 {
-		topts.Parallelism = workers
-	}
 	maxBytes := opts.MaxBytes
 	switch {
 	case maxBytes == 0:
@@ -213,7 +210,7 @@ func (p *PreparedQuery) RunCtx(ctx context.Context, opts RunOptions) (res *ExecR
 			stop.MaxSamples = opts.MaxSamples
 		}
 	}
-	return p.e.runSelectCompiled(p.c, s, topts, runParams{
+	return p.e.runSelectCompiled(p.c, s, opts.Tail, runParams{
 		ctx:      ctx,
 		seed:     seed,
 		workers:  workers,

@@ -1,7 +1,6 @@
 package mcdbr
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -10,7 +9,6 @@ import (
 	"repro/internal/gibbs"
 	"repro/internal/stats"
 	"repro/internal/storage"
-	"repro/internal/tail"
 	"repro/internal/types"
 )
 
@@ -364,7 +362,11 @@ func (q *QueryBuilder) TailSample(p float64, l int, opts TailSampleOptions) (tr 
 	if c.grouped() || len(c.agg.Aggs) > 1 {
 		return nil, fmt.Errorf("mcdbr: query has GROUP BY or multiple aggregates; use TailSampleGrouped")
 	}
-	return q.e.runTail(nil, c, p, l, opts, q.e.seed, q.e.maxQueryBytes)
+	gt, _, err := q.e.runTails(c, q.runParams(l), nil, p, opts)
+	if err != nil {
+		return nil, err
+	}
+	return gt.Groups[0].Tail, nil
 }
 
 // TailSampleGrouped runs per-group tail sampling for a GROUP BY query:
@@ -383,98 +385,8 @@ func (q *QueryBuilder) TailSampleGrouped(p float64, l int, opts TailSampleOption
 	if !c.grouped() {
 		return nil, fmt.Errorf("mcdbr: TailSampleGrouped needs GROUP BY; use TailSample")
 	}
-	return q.e.runGroupedTail(nil, c, p, l, opts, q.e.seed, q.e.maxQueryBytes)
-}
-
-// runTail executes a compiled plan's tail sampling in a fresh per-run
-// workspace; the shared execution path of QueryBuilder.TailSample and
-// PreparedQuery.Run. The looper query is copied, never mutated, so one
-// compiled plan can serve concurrent runs.
-func (e *Engine) runTail(ctx context.Context, c *compiled, p float64, l int, opts TailSampleOptions, seed uint64, maxBytes int64) (*TailResult, error) {
-	gq := c.gq
-	gq.LowerTail = opts.Lower
-	return e.runTailWith(ctx, c, gq, p, l, opts, seed, maxBytes)
-}
-
-// runTailWith is runTail with an explicit looper query — the per-group
-// conditioned runs of runGroupedTail pass a group-restricted copy.
-func (e *Engine) runTailWith(ctx context.Context, c *compiled, gq gibbs.Query, p float64, l int, opts TailSampleOptions, seed uint64, maxBytes int64) (*TailResult, error) {
-	if len(c.agg.Aggs) > 1 {
-		return nil, fmt.Errorf("mcdbr: DOMAIN tail sampling conditions on a single aggregate; the query has %d", len(c.agg.Aggs))
-	}
-	if c.agg.Having != nil {
-		return nil, fmt.Errorf("mcdbr: HAVING is not supported with DOMAIN tail sampling; drop the DOMAIN clause or the HAVING clause")
-	}
-	parallelism := opts.Parallelism
-	if parallelism == 0 {
-		parallelism = e.parallelism
-	}
-	cfg, err := tail.Configure(p, l, tail.Options{
-		TotalSamples:      opts.TotalSamples,
-		MSRETarget:        opts.MSRETarget,
-		K:                 opts.K,
-		ForceM:            opts.ForceM,
-		MaxTriesPerUpdate: opts.MaxTriesPerUpdate,
-		Parallelism:       parallelism,
-	})
-	if err != nil {
-		return nil, err
-	}
-	window := e.window
-	if need := cfg.N + cfg.L; need > window {
-		window = need
-	}
-	ws := e.newRunWorkspace(seed, window, maxBytes)
-	ws.Ctx = ctx
-	res, err := gibbs.Run(ws, c.agg.Child, gq, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := stats.CheckFinite(res.TailSamples); err != nil {
-		return nil, fmt.Errorf("mcdbr: tail sampling produced a non-finite query result (%w); check VG parameters and aggregate expressions", err)
-	}
-	return &TailResult{
-		Distribution:      *newDistribution(res.TailSamples),
-		QuantileEstimate:  res.Quantile,
-		P:                 p,
-		Lower:             gq.LowerTail,
-		ExpectedShortfall: stats.ExpectedShortfall(res.TailSamples),
-		Diag:              res,
-	}, nil
-}
-
-// runGroupedTail runs one conditioned Gibbs chain per group of a compiled
-// GROUP BY query. Groups are discovered from a single plan run (shared
-// with the per-group runs through the deterministic-prefix cache); each
-// group's looper then executes in a fresh workspace restricted to the
-// group's tuples, exactly as if the query had been run with a per-group
-// selection predicate — samples are bit-identical to that formulation.
-func (e *Engine) runGroupedTail(ctx context.Context, c *compiled, p float64, l int, opts TailSampleOptions, seed uint64, maxBytes int64) (*GroupedTail, error) {
-	if c.agg.Having != nil {
-		return nil, fmt.Errorf("mcdbr: HAVING is not supported with DOMAIN tail sampling; drop the DOMAIN clause or the HAVING clause")
-	}
-	dws := e.newRunWorkspace(seed, e.window, maxBytes)
-	dws.Ctx = ctx
-	keys, err := c.agg.StreamGroupKeys(dws)
-	if err != nil {
-		return nil, err
-	}
-	out := &GroupedTail{
-		GroupCols: c.agg.GroupColNames(),
-		AggCol:    c.agg.AggColNames()[0],
-	}
-	for _, key := range keys {
-		gq := c.gq
-		gq.LowerTail = opts.Lower
-		gq.GroupBy = c.agg.GroupBy
-		gq.GroupKey = key
-		tr, err := e.runTailWith(ctx, c, gq, p, l, opts, seed, maxBytes)
-		if err != nil {
-			return nil, fmt.Errorf("mcdbr: group %s: %w", formatGroupKey(key), err)
-		}
-		out.Groups = append(out.Groups, GroupTail{Key: key, Tail: tr})
-	}
-	return out, nil
+	gt, _, err = q.e.runTails(c, q.runParams(l), nil, p, opts)
+	return gt, err
 }
 
 // Histogram bins the samples into nBins equal-width buckets; a convenience

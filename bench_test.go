@@ -25,17 +25,13 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/exec"
 	"repro/internal/experiments"
 	"repro/internal/expr"
-	"repro/internal/gibbs"
-	"repro/internal/prng"
 	"repro/internal/server"
 	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/tail"
 	"repro/internal/types"
-	"repro/internal/vg"
 	"repro/internal/workload"
 	"repro/mcdbr"
 )
@@ -597,46 +593,6 @@ func BenchmarkAblation_MStar(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		benchTailOnce(b, uint64(i), 2048, mcdbr.TailSampleOptions{TotalSamples: 500})
-	}
-}
-
-// BenchmarkAblation_DeltaAggregates vs FullRecompute quantifies the §4.3
-// delta-maintenance optimization: without it every rejection-sampling
-// candidate recomputes the aggregate over all tuples.
-func BenchmarkAblation_DeltaAggregates(b *testing.B) {
-	b.ReportAllocs()
-	benchDeltaAblation(b, false)
-}
-
-// BenchmarkAblation_FullRecompute is the naive counterpart.
-func BenchmarkAblation_FullRecompute(b *testing.B) {
-	b.ReportAllocs()
-	benchDeltaAblation(b, true)
-}
-
-func benchDeltaAblation(b *testing.B, disable bool) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		cat := storage.NewCatalog()
-		cat.Put(workload.LossMeans(200, 2, 8, 5))
-		normal, _ := vg.NewRegistry().Lookup("Normal")
-		ws := exec.NewWorkspace(cat, prng.NewStream(uint64(i)), 2048)
-		scan, err := exec.NewScan(cat, "means", "means")
-		if err != nil {
-			b.Fatal(err)
-		}
-		seed, err := exec.NewSeed(scan, normal,
-			[]expr.Expr{expr.C("m"), expr.F(1)}, []string{"val"})
-		if err != nil {
-			b.Fatal(err)
-		}
-		plan := &exec.Instantiate{Child: seed}
-		_, err = gibbs.Run(ws, plan,
-			gibbs.Query{Agg: exec.AggSpec{Kind: exec.AggSum, Expr: expr.C("val")}},
-			gibbs.Config{N: 50, M: 3, P: 0.01, L: 25, DisableDeltaAggregates: disable})
-		if err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

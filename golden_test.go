@@ -9,8 +9,8 @@ package repro_test
 // sample values captured from the materializing executor into
 // testdata/golden6.json and replays representative query shapes
 // (quickstart aggregate, Fig. 2 self-join, grouped aggregation with
-// HAVING, tail sampling, deterministic-prefix join) across the full
-// configuration grid.
+// HAVING, tail sampling, deterministic-prefix join, tail sampling over the
+// self-join's shared seeds) across the full configuration grid.
 //
 // Regenerate the golden file with MCDBR_UPDATE_GOLDEN=1 go test -run
 // TestBitIdentityGolden — only ever from a known-good executor.
@@ -88,21 +88,29 @@ WITH RESULTDISTRIBUTION MONTECARLO(64)`)
 	return res.Dist.Samples
 }
 
-// goldenFig2 runs the salary-inversion self-join (cross-seed final
-// predicate through the Gibbs looper's plain Monte Carlo path).
-func goldenFig2(t testing.TB, cfg goldenCfg) []float64 {
+// goldenSalaryEngine registers the Fig. 2 salary tables, with emp's
+// salaries drawn as Normal(msal, variance).
+func goldenSalaryEngine(t testing.TB, variance float64, opts ...mcdbr.Option) *mcdbr.Engine {
 	t.Helper()
-	e := mcdbr.New(cfg.opts(mcdbr.WithSeed(77))...)
+	e := mcdbr.New(opts...)
 	sup, empmeans := workload.SalaryDB()
 	e.RegisterTable(sup)
 	e.RegisterTable(empmeans)
 	if err := e.DefineRandomTable(mcdbr.RandomTable{
 		Name: "emp", ParamTable: "empmeans", VG: "Normal",
-		VGParams: []expr.Expr{expr.C("msal"), expr.F(4e6)},
+		VGParams: []expr.Expr{expr.C("msal"), expr.F(variance)},
 		Columns:  []mcdbr.RandomCol{{Name: "eid", FromParam: "eid"}, {Name: "sal", VGOut: 0}},
 	}); err != nil {
 		t.Fatal(err)
 	}
+	return e
+}
+
+// goldenFig2 runs the salary-inversion self-join (cross-seed final
+// predicate through the Gibbs looper's plain Monte Carlo path).
+func goldenFig2(t testing.TB, cfg goldenCfg) []float64 {
+	t.Helper()
+	e := goldenSalaryEngine(t, 4e6, cfg.opts(mcdbr.WithSeed(77))...)
 	res, err := e.Exec(`SELECT SUM(emp2.sal - emp1.sal) AS inv
 FROM emp AS emp1, emp AS emp2, sup
 WHERE sup.boss = emp1.eid AND sup.peon = emp2.eid AND emp2.sal > emp1.sal
@@ -187,6 +195,34 @@ func goldenTail(t testing.TB, cfg goldenCfg) []float64 {
 	return append(append([]float64(nil), tr.Samples...), tr.QuantileEstimate)
 }
 
+// goldenTailSharedSeeds runs Gibbs tail sampling over the Fig. 2 self-join,
+// where every joined tuple reads two seeds and Jim's seed as a boss feeds
+// two tuples, so the order in which the looper visits seeds and their
+// tuples shapes the result. The small window forces replenishment in the
+// middle of passes. The quantile and every iteration's rejection-sampling
+// counters are appended to the samples, so a change in the pass shows up
+// even when the samples agree.
+func goldenTailSharedSeeds(t testing.TB, cfg goldenCfg) []float64 {
+	t.Helper()
+	// A salary sd of 30000 makes every boss/peon pair invert now and then,
+	// so both tuples sharing Jim's seed contribute.
+	e := goldenSalaryEngine(t, 9e8, cfg.opts(mcdbr.WithSeed(23), mcdbr.WithWindow(64))...)
+	res, err := e.Exec(`SELECT SUM(emp2.sal - emp1.sal) AS inv
+FROM emp AS emp1, emp AS emp2, sup
+WHERE sup.boss = emp1.eid AND sup.peon = emp2.eid AND emp2.sal > emp1.sal
+WITH RESULTDISTRIBUTION MONTECARLO(40)
+DOMAIN inv >= QUANTILE(0.95)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := res.Tail
+	out := append(append([]float64(nil), tr.Samples...), tr.QuantileEstimate)
+	for _, it := range tr.Diag.Iters {
+		out = append(out, float64(it.Candidates), float64(it.Accepts), float64(it.GiveUps), float64(it.Replenishments))
+	}
+	return append(out, float64(tr.Diag.Replenishments))
+}
+
 // goldenDetPrefix runs a query with a deterministic join prefix twice on
 // one engine, so the second run exercises the prefix cache when enabled;
 // both runs' samples participate in bit-identity.
@@ -241,6 +277,7 @@ var goldenCases = []struct {
 	{"grouped_having", goldenGrouped},
 	{"tail_sampling", goldenTail},
 	{"det_prefix", goldenDetPrefix},
+	{"tail_shared_seeds", goldenTailSharedSeeds},
 }
 
 // encodeBits renders samples as hex float64 bit patterns: the golden file

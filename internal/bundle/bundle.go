@@ -96,8 +96,8 @@ func (t *Tuple) Clone() *Tuple {
 func (t *Tuple) IsRandom() bool { return len(t.Rand) > 0 || len(t.Pres) > 0 }
 
 // SeedIDs returns the distinct TS-seed handles this tuple depends on,
-// ascending — the keys under which the looper's priority queue indexes the
-// tuple. A handle may appear in Rand, Pres, or both.
+// ascending — the seeds under which the Gibbs looper's seed index lists
+// the tuple. A handle may appear in Rand, Pres, or both.
 func (t *Tuple) SeedIDs() []uint64 {
 	set := map[uint64]struct{}{}
 	for _, r := range t.Rand {
@@ -112,21 +112,6 @@ func (t *Tuple) SeedIDs() []uint64 {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// NextSeedAfter returns the smallest seed handle strictly greater than id,
-// or ok=false when none exists; the looper uses it to re-key tuples in the
-// priority queue (paper §7).
-func (t *Tuple) NextSeedAfter(id uint64) (uint64, bool) {
-	best := uint64(0)
-	found := false
-	for _, s := range t.SeedIDs() {
-		if s > id && (!found || s < best) {
-			best = s
-			found = true
-		}
-	}
-	return best, found
 }
 
 // Binding gives stream positions per seed for evaluation: the looper

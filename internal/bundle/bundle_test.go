@@ -64,7 +64,7 @@ func TestPresVecAt(t *testing.T) {
 	}
 }
 
-func TestSeedIDsAndNextSeedAfter(t *testing.T) {
+func TestSeedIDs(t *testing.T) {
 	tu := &Tuple{
 		Det:  types.Row{types.Null, types.Null, types.NewInt(5)},
 		Rand: []RandRef{{Slot: 0, SeedID: 3}, {Slot: 1, SeedID: 1}},
@@ -79,15 +79,6 @@ func TestSeedIDsAndNextSeedAfter(t *testing.T) {
 		if ids[i] != want[i] {
 			t.Fatalf("SeedIDs = %v, want %v", ids, want)
 		}
-	}
-	if next, ok := tu.NextSeedAfter(1); !ok || next != 3 {
-		t.Fatalf("NextSeedAfter(1) = %d,%v", next, ok)
-	}
-	if next, ok := tu.NextSeedAfter(3); !ok || next != 7 {
-		t.Fatalf("NextSeedAfter(3) = %d,%v", next, ok)
-	}
-	if _, ok := tu.NextSeedAfter(7); ok {
-		t.Fatal("NextSeedAfter(7) should be none")
 	}
 	if !tu.IsRandom() {
 		t.Fatal("tuple with rand refs is random")

@@ -2,6 +2,7 @@ package gibbs
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/bundle"
@@ -38,7 +39,7 @@ func TestDeltaAggregateEqualsRecompute(t *testing.T) {
 		want := lp.base
 		b := bundle.Bind(ws.Seeds, v)
 		for _, tu := range lp.rand {
-			s, c, err := lp.contrib(tu, b)
+			s, c, err := lp.contrib(tu, b, lp.buf)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -130,27 +131,8 @@ func quantileZ(p float64) float64 {
 // — all affected tuples see the same assignment.
 func TestSeedSharedAcrossTuples(t *testing.T) {
 	cat := lossCatalog([]float64{4, 5})
-	// Join each customer to 3 weights so each seed appears in 3 tuples.
-	weights := cat.MustGet("means").Clone()
-	_ = weights
-	normal, _ := vg.NewRegistry().Lookup("Normal")
 	ws := exec.NewWorkspace(cat, prng.NewStream(77), 2048)
-	scan, err := exec.NewScan(cat, "means", "means")
-	if err != nil {
-		t.Fatal(err)
-	}
-	seed, err := exec.NewSeed(scan, normal, []expr.Expr{expr.C("m"), expr.F(1)}, []string{"val"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst := &exec.Instantiate{Child: seed}
-	// Cross with a 3-row constant table triples every tuple while sharing
-	// the TS-seed.
-	threes, err := exec.NewScan(cat, "means", "w") // reuse means as a 2-row table
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := exec.NewCross(inst, threes, nil)
+	plan := sharedSeedPlan(t, ws)
 	res, err := Run(ws, plan, Query{Agg: exec.AggSpec{Kind: exec.AggSum, Expr: expr.C("val")}},
 		Config{N: 40, M: 2, P: 0.02, L: 20})
 	if err != nil {
@@ -169,24 +151,107 @@ func TestSeedSharedAcrossTuples(t *testing.T) {
 	}
 }
 
-// TestFullRecomputeAblationAgrees: the DisableDeltaAggregates mode is a
-// different implementation of the same algorithm; estimates must agree
-// closely (bit-identical up to float associativity at acceptance
-// boundaries).
-func TestFullRecomputeAblationAgrees(t *testing.T) {
-	run := func(disable bool) float64 {
-		cat := lossCatalog([]float64{3, 4, 5, 6})
-		ws := exec.NewWorkspace(cat, prng.NewStream(123), 2048)
-		plan := lossPlan(t, ws, 1)
-		res, err := Run(ws, plan, sumQuery(),
-			Config{N: 60, M: 2, P: 0.02, L: 30, DisableDeltaAggregates: disable})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Quantile
+// sharedSeedPlan crosses Instantiate(Seed(means)) with a second scan of
+// means, so every TS-seed appears in one tuple per means row.
+func sharedSeedPlan(t testing.TB, ws *exec.Workspace) exec.Node {
+	t.Helper()
+	normal, _ := vg.NewRegistry().Lookup("Normal")
+	scan, err := exec.NewScan(ws.Catalog, "means", "means")
+	if err != nil {
+		t.Fatal(err)
 	}
-	fast, slow := run(false), run(true)
-	if math.Abs(fast-slow) > 1e-9 {
-		t.Fatalf("delta %g vs full recompute %g", fast, slow)
+	seed, err := exec.NewSeed(scan, normal, []expr.Expr{expr.C("m"), expr.F(1)}, []string{"val"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := exec.NewScan(ws.Catalog, "means", "w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return exec.NewCross(&exec.Instantiate{Child: seed}, w, nil)
+}
+
+// twoSeedPlan gives every means row two random attributes, a and b, drawn
+// from two different TS-seeds.
+func twoSeedPlan(t testing.TB, ws *exec.Workspace) exec.Node {
+	t.Helper()
+	normal, _ := vg.NewRegistry().Lookup("Normal")
+	scan, err := exec.NewScan(ws.Catalog, "means", "means")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed1, err := exec.NewSeed(scan, normal, []expr.Expr{expr.C("means.m"), expr.F(1)}, []string{"a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed2, err := exec.NewSeed(seed1, normal, []expr.Expr{expr.C("means.m"), expr.F(1)}, []string{"b"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &exec.Instantiate{Child: seed2}
+}
+
+// TestSeedIndex checks the looper's seed-to-tuple index: handles strictly
+// ascend, each handle's tuples strictly ascend, the (handle, tuple) pairs
+// are exactly the tuples' SeedIDs, and a replenishing run rebuilds the
+// same index. The two-seed plan selects on b, so its tuples read seed b
+// through both a random reference and a presence vector.
+func TestSeedIndex(t *testing.T) {
+	means := []float64{4, 5, 6}
+	for _, tc := range []struct {
+		name              string
+		plan              func(testing.TB, *exec.Workspace) exec.Node
+		perTuple, perSeed int
+	}{
+		{"shared", sharedSeedPlan, 1, len(means)},
+		{"two-seed", func(t testing.TB, ws *exec.Workspace) exec.Node {
+			return &exec.Select{Child: twoSeedPlan(t, ws), Pred: expr.B(expr.OpGt, expr.C("b"), expr.F(4.5))}
+		}, 2, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ws := exec.NewWorkspace(lossCatalog(means), prng.NewStream(31), 64)
+			lp := &looper{ws: ws, plan: tc.plan(t, ws), q: Query{Agg: exec.AggSpec{Kind: exec.AggCount}}, cfg: Config{N: 8}}
+			if err := lp.init(); err != nil {
+				t.Fatal(err)
+			}
+			ix := lp.seeds
+			if len(ix.offs) != len(ix.handles)+1 || ix.offs[0] != 0 || ix.offs[len(ix.handles)] != len(ix.tuples) {
+				t.Fatalf("malformed offsets %v for %d handles, %d tuples", ix.offs, len(ix.handles), len(ix.tuples))
+			}
+			if len(ix.tuples) != tc.perTuple*len(lp.rand) {
+				t.Fatalf("%d index entries for %d tuples, want %d per tuple", len(ix.tuples), len(lp.rand), tc.perTuple)
+			}
+			got := map[[2]uint64]bool{}
+			for h, id := range ix.handles {
+				if h > 0 && id <= ix.handles[h-1] {
+					t.Fatalf("handles not strictly ascending: %v", ix.handles)
+				}
+				run := ix.tuples[ix.offs[h]:ix.offs[h+1]]
+				if len(run) != tc.perSeed {
+					t.Fatalf("seed %d lists tuples %v, want %d", id, run, tc.perSeed)
+				}
+				for i, tu := range run {
+					if i > 0 && tu <= run[i-1] {
+						t.Fatalf("seed %d tuples not strictly ascending: %v", id, run)
+					}
+					got[[2]uint64{id, uint64(tu)}] = true
+				}
+			}
+			want := map[[2]uint64]bool{}
+			for i, tu := range lp.rand {
+				for _, id := range tu.SeedIDs() {
+					want[[2]uint64{id, uint64(i)}] = true
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("index pairs %v, want %v", got, want)
+			}
+			if err := lp.loadTuples(true); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(lp.seeds, ix) {
+				t.Fatalf("replenishing run rebuilt %+v, want %+v", lp.seeds, ix)
+			}
+		})
 	}
 }

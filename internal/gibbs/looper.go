@@ -5,23 +5,26 @@
 //
 // The looper executes the paper's Algorithm 3 with the loops inverted as
 // described in §7: rather than perturbing DB versions one at a time, it
-// iterates over TS-seed handles in increasing order (merging a disk-based
-// priority queue of Gibbs tuples with the sorted seed store) and, for each
-// seed, updates every DB version via rejection sampling against the current
-// cutoff, amortizing data scans.
+// iterates over TS-seed handles in increasing order and, for each seed,
+// updates every DB version via rejection sampling against the current
+// cutoff, amortizing data scans. The paper merges a disk-based priority
+// queue of Gibbs tuples with the sorted seed store; the looper holds its
+// Gibbs tuples in memory, so it walks a seed-to-tuple index built once per
+// plan run instead, which visits seeds and tuples in the same order.
 package gibbs
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/bundle"
 	"repro/internal/exec"
 	"repro/internal/expr"
-	"repro/internal/pq"
 	"repro/internal/types"
 )
 
@@ -69,18 +72,11 @@ type Config struct {
 	// (seed, version) update; exceeding it keeps the current value (the
 	// heavy-tail regime of Appendix B). 0 selects 100000.
 	MaxTriesPerUpdate int
-	// DisableDeltaAggregates makes every rejection-sampling candidate
-	// recompute the aggregate over ALL tuples instead of only the tuples
-	// affected by the updated seed. This is the naive implementation the
-	// paper's §4.3 dismisses; it exists solely for the ablation benchmark
-	// quantifying the delta-maintenance optimization.
-	DisableDeltaAggregates bool
 	// Parallelism is the number of worker goroutines the batch
-	// state-recomputation path may use; values <= 1 select the sequential
-	// path. Results are bit-for-bit identical for every value: versions are
-	// partitioned across workers, each version's aggregate is accumulated
-	// in the same tuple order as sequential execution, and replenishing
-	// runs are serialized between parallel rounds.
+	// state recomputation may use; values <= 1 run it inline. Results are
+	// bit-for-bit identical for every value: versions are partitioned
+	// across workers, each version's aggregate is accumulated in plan
+	// order, and replenishing runs happen between rounds, never inside one.
 	Parallelism int
 }
 
@@ -139,10 +135,6 @@ type Result struct {
 	Replenishments int
 }
 
-// errNeedReplenish signals that rejection sampling ran out of materialized
-// stream values (paper §9).
-var errNeedReplenish = errors.New("gibbs: stream window exhausted")
-
 // Run executes tail sampling for the plan in the workspace. The plan must
 // already include Seed and Instantiate operators; Run executes it (and
 // re-executes it on replenishment).
@@ -167,7 +159,7 @@ type looper struct {
 	cfg  Config
 
 	rand       []*bundle.Tuple // retained tuples with random lineage, in plan order
-	seedIDs    [][]uint64      // per rand tuple: distinct seed handles, ascending
+	seeds      seedIndex       // TS-seed handle -> rand tuples reading it
 	nTotal     int             // total plan-output tuples (after group restriction)
 	base       exec.AggState   // contribution of purely deterministic tuples
 	states     []exec.AggState // per-version aggregate state
@@ -300,29 +292,60 @@ func (lp *looper) loadTuples(replenishing bool) error {
 	}
 	lp.nTotal = total
 	lp.rand = rand
-	// Precompute each random tuple's distinct seed handles once per plan
-	// run: the Gibbs pass re-keys tuples in the priority queue constantly,
-	// and calling SeedIDs (a map build plus a sort) per re-key dominated
-	// its allocation profile.
-	if cap(lp.seedIDs) >= len(rand) {
-		lp.seedIDs = lp.seedIDs[:len(rand)]
-	} else {
-		lp.seedIDs = make([][]uint64, len(rand))
-	}
-	for i, tu := range rand {
-		lp.seedIDs[i] = tu.SeedIDs()
-	}
+	// Index the retained tuples by the seeds they read once per plan run;
+	// every Gibbs pass walks this index. A replenishing run rebuilds it
+	// from the same deterministic plan, so it comes out identical.
+	lp.seeds = buildSeedIndex(rand)
 	return nil
 }
 
-// contrib evaluates one tuple's aggregate contribution under a binding.
-func (lp *looper) contrib(tu *bundle.Tuple, b bundle.Binding) (float64, int64, error) {
-	return lp.contribBuf(tu, b, lp.buf)
+// seedIndex maps TS-seed handles to the retained random tuples that read
+// them, in CSR layout: handles ascend, and tuples[offs[h]:offs[h+1]] holds
+// the ascending lp.rand indexes of the tuples whose lineage reads
+// handles[h]. A Gibbs pass walks handles in order, which is exactly the
+// order in which the paper's priority queue (keyed by handle, ties broken
+// by tuple) would release seeds and their tuples.
+type seedIndex struct {
+	handles []uint64
+	offs    []int
+	tuples  []int
 }
 
-// contribBuf is contrib with an explicit scratch row so concurrent workers
-// can evaluate versions without sharing lp.buf.
-func (lp *looper) contribBuf(tu *bundle.Tuple, b bundle.Binding, buf types.Row) (float64, int64, error) {
+// buildSeedIndex indexes tuples by every seed handle in their Rand
+// references and presence vectors.
+func buildSeedIndex(tuples []*bundle.Tuple) seedIndex {
+	type pair struct {
+		handle uint64
+		tuple  int
+	}
+	pairs := make([]pair, 0, len(tuples))
+	for i, tu := range tuples {
+		for _, r := range tu.Rand {
+			pairs = append(pairs, pair{r.SeedID, i})
+		}
+		for _, p := range tu.Pres {
+			pairs = append(pairs, pair{p.SeedID, i})
+		}
+	}
+	// Pairs were appended in tuple order, so a stable sort by handle leaves
+	// each handle's tuples ascending and repeated pairs adjacent.
+	slices.SortStableFunc(pairs, func(a, b pair) int { return cmp.Compare(a.handle, b.handle) })
+	pairs = slices.Compact(pairs)
+	ix := seedIndex{tuples: make([]int, 0, len(pairs))}
+	for i, p := range pairs {
+		if i == 0 || p.handle != pairs[i-1].handle {
+			ix.handles = append(ix.handles, p.handle)
+			ix.offs = append(ix.offs, len(ix.tuples))
+		}
+		ix.tuples = append(ix.tuples, p.tuple)
+	}
+	ix.offs = append(ix.offs, len(ix.tuples))
+	return ix
+}
+
+// contrib evaluates one tuple's aggregate contribution under a binding,
+// using buf as scratch; concurrent callers pass private rows.
+func (lp *looper) contrib(tu *bundle.Tuple, b bundle.Binding, buf types.Row) (float64, int64, error) {
 	row, present, err := tu.Eval(b, buf)
 	if err != nil {
 		return 0, 0, err
@@ -340,118 +363,48 @@ func (lp *looper) contribRow(row types.Row) (float64, int64, error) {
 	return lp.q.Agg.Contribution(lp.aggExpr, row, lp.sign)
 }
 
-// recomputeStates rebuilds every version's aggregate state from scratch,
-// replenishing if any assigned position is not materialized.
+// recomputeStates rebuilds every version's aggregate state from scratch.
+// Version states are independent given the materialized windows, so the
+// versions are split into contiguous shards across cfg.Parallelism
+// workers, each with a private scratch row; a single shard runs inline.
+// Every version accumulates its tuples in plan order, so states are
+// bit-for-bit identical for every worker count. When any version needs a
+// stream value outside the materialized windows, one replenishing run
+// executes and the whole batch retries: replenishment keeps every
+// assigned position, so the retry needs no further run.
 func (lp *looper) recomputeStates(nVersions int) error {
-	if lp.cfg.Parallelism > 1 && nVersions > 1 {
-		return lp.recomputeStatesParallel(nVersions)
-	}
-	lp.states = make([]exec.AggState, nVersions)
-	//mcdbr:hotpath
-	for v := 0; v < nVersions; {
-		if err := lp.ws.Cancelled(); err != nil {
-			return err
-		}
-		st := lp.base
-		b := bundle.Bind(lp.ws.Seeds, v)
-		retry := false
-		for _, tu := range lp.rand {
-			s, c, err := lp.contrib(tu, b)
-			if err != nil {
-				var nm *bundle.ErrNotMaterialized
-				if !errors.As(err, &nm) {
-					return err
-				}
-				if rerr := lp.replenish(); rerr != nil {
-					return rerr
-				}
-				retry = true
-				break
-			}
-			st.Add(s, c)
-		}
-		if retry {
-			continue // re-evaluate the same version against fresh windows
-		}
-		lp.states[v] = st
-		v++
-	}
-	return nil
-}
-
-// recomputeStatesParallel is the batch-recompute fast path: version states
-// are independent given materialized windows, so they are partitioned into
-// contiguous chunks across cfg.Parallelism workers, each with a private
-// scratch row. Per-version accumulation visits tuples in the same order as
-// the sequential path, so every state is bit-for-bit identical. Workers
-// only read shared looper state; when any version needs stream values
-// outside the materialized windows, the round is abandoned, one
-// replenishing run executes serially, and the whole batch retries (the
-// retry is cheap and replenishment with an unchanged MaxUsed is
-// idempotent, so convergence matches the sequential path).
-func (lp *looper) recomputeStatesParallel(nVersions int) error {
-	//mcdbr:hotpath
+	shards := exec.Shards(nVersions, lp.cfg.Parallelism)
 	for {
-		if err := lp.ws.Cancelled(); err != nil {
-			return err
-		}
 		states := make([]exec.AggState, nVersions)
-		var (
-			wg       sync.WaitGroup
-			mu       sync.Mutex
-			firstErr error
-			needRepl bool
-		)
-		for _, w := range exec.Shards(nVersions, lp.cfg.Parallelism) {
-			lo, hi := w[0], w[1]
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				// Contain worker panics (a panic here would be fatal to the
-				// process even if the caller installed a recover).
-				defer func() {
-					if r := recover(); r != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = fmt.Errorf("gibbs: recompute worker panicked: %v", r)
+		errs := make([]error, len(shards))
+		if len(shards) == 1 {
+			errs[0] = lp.recomputeShard(states, 0, nVersions, lp.buf)
+		} else {
+			var wg sync.WaitGroup
+			for i, sh := range shards {
+				wg.Add(1)
+				go func(i, lo, hi int) {
+					defer wg.Done()
+					// Contain worker panics (a panic here would be fatal to the
+					// process even if the caller installed a recover).
+					defer func() {
+						if r := recover(); r != nil {
+							errs[i] = fmt.Errorf("gibbs: recompute worker panicked: %v", r)
 						}
-						mu.Unlock()
-					}
-				}()
-				buf := make(types.Row, len(lp.buf))
-				for v := lo; v < hi; v++ {
-					if err := lp.ws.Cancelled(); err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						mu.Unlock()
-						return
-					}
-					st := lp.base
-					b := bundle.Bind(lp.ws.Seeds, v)
-					for _, tu := range lp.rand {
-						s, c, err := lp.contribBuf(tu, b, buf)
-						if err != nil {
-							mu.Lock()
-							var nm *bundle.ErrNotMaterialized
-							if errors.As(err, &nm) {
-								needRepl = true
-							} else if firstErr == nil {
-								firstErr = err
-							}
-							mu.Unlock()
-							return
-						}
-						st.Add(s, c)
-					}
-					states[v] = st
-				}
-			}(lo, hi)
+					}()
+					errs[i] = lp.recomputeShard(states, lo, hi, make(types.Row, len(lp.buf)))
+				}(i, sh[0], sh[1])
+			}
+			wg.Wait()
 		}
-		wg.Wait()
-		if firstErr != nil {
-			return firstErr
+		needRepl := false
+		for _, err := range errs {
+			var nm *bundle.ErrNotMaterialized
+			if errors.As(err, &nm) {
+				needRepl = true
+			} else if err != nil {
+				return err
+			}
 		}
 		if !needRepl {
 			lp.states = states
@@ -461,6 +414,27 @@ func (lp *looper) recomputeStatesParallel(nVersions int) error {
 			return err
 		}
 	}
+}
+
+// recomputeShard fills states[lo:hi]. It only reads shared looper state.
+func (lp *looper) recomputeShard(states []exec.AggState, lo, hi int, buf types.Row) error {
+	//mcdbr:hotpath
+	for v := lo; v < hi; v++ {
+		if err := lp.ws.Cancelled(); err != nil {
+			return err
+		}
+		st := lp.base
+		b := bundle.Bind(lp.ws.Seeds, v)
+		for _, tu := range lp.rand {
+			s, c, err := lp.contrib(tu, b, buf)
+			if err != nil {
+				return err
+			}
+			st.Add(s, c)
+		}
+		states[v] = st
+	}
+	return nil
 }
 
 func (lp *looper) replenish() error {
@@ -567,42 +541,19 @@ func (lp *looper) eliteVersions(e int) []int {
 
 // pass performs one systematic Gibbs updating step: every TS-seed in
 // increasing handle order, every DB version, rejection sampling against
-// cutoff (paper §7 and Appendix A.2).
+// cutoff (paper §7 and Appendix A.2). A replenishing run in the middle of
+// the pass rebuilds lp.seeds identically, so the pass keeps walking the
+// index it started with.
 func (lp *looper) pass(cutoff float64) error {
-	queue := pq.New(0, "") // default in-memory limit, spills to os.TempDir()
-	defer queue.Reset()
-	for i := range lp.rand {
-		ids := lp.seedIDs[i]
-		if len(ids) == 0 {
-			continue
-		}
-		if err := queue.Push(pq.Entry{Key: ids[0], Payload: uint64(i)}); err != nil {
-			return err
-		}
-	}
+	ix := lp.seeds
 	//mcdbr:hotpath
-	for queue.Len() > 0 {
+	for h, seedID := range ix.handles {
 		if err := lp.ws.Cancelled(); err != nil {
 			return err
 		}
-		key, payloads, err := queue.PopAllWithKey()
-		if err != nil {
-			return err
-		}
-		if key == pq.MaxKey {
-			break // fully processed tuples parked at the tail (App. A.2)
-		}
+		tuples := ix.tuples[ix.offs[h]:ix.offs[h+1]]
 		for v := range lp.states {
-			if err := lp.updateSeedVersion(key, payloads, v, cutoff); err != nil {
-				return err
-			}
-		}
-		for _, p := range payloads {
-			nk, ok := nextSeedAfter(lp.seedIDs[p], key)
-			if !ok {
-				nk = pq.MaxKey
-			}
-			if err := queue.Push(pq.Entry{Key: nk, Payload: p}); err != nil {
+			if err := lp.updateSeedVersion(seedID, tuples, v, cutoff); err != nil {
 				return err
 			}
 		}
@@ -614,10 +565,10 @@ func (lp *looper) pass(cutoff float64) error {
 // Fig. 1) for one TS-seed and one DB version: propose the next unused
 // stream value, accept when the updated query result still meets the
 // cutoff.
-func (lp *looper) updateSeedVersion(seedID uint64, payloads []uint64, v int, cutoff float64) error {
+func (lp *looper) updateSeedVersion(seedID uint64, tuples []int, v int, cutoff float64) error {
 	seed := lp.ws.Seeds.MustGet(seedID)
 	cur := bundle.Bind(lp.ws.Seeds, v)
-	oldS, oldC, err := lp.affectedContrib(payloads, cur)
+	oldS, oldC, err := lp.affectedContrib(tuples, cur)
 	if err != nil {
 		return err
 	}
@@ -629,7 +580,7 @@ func (lp *looper) updateSeedVersion(seedID uint64, payloads []uint64, v int, cut
 			}
 			// Windows changed; current-assignment contributions must be
 			// recomputed against the rebuilt presence vectors.
-			oldS, oldC, err = lp.affectedContrib(payloads, cur)
+			oldS, oldC, err = lp.affectedContrib(tuples, cur)
 			if err != nil {
 				return err
 			}
@@ -641,24 +592,13 @@ func (lp *looper) updateSeedVersion(seedID uint64, payloads []uint64, v int, cut
 			lp.stats.Candidates++
 		}
 		seed.MaxUsed = pos // consumed whether accepted or not (paper §6 item 4)
-		cand := cur.WithOverride(seedID, pos)
-		var st exec.AggState
-		if lp.cfg.DisableDeltaAggregates {
-			// Ablation mode: full recomputation per candidate (§4.3's
-			// "obviously unacceptable" strategy, minus the plan re-run).
-			st, err = lp.fullState(cand)
-			if err != nil {
-				return err
-			}
-		} else {
-			newS, newC, err := lp.affectedContrib(payloads, cand)
-			if err != nil {
-				return err
-			}
-			st = lp.states[v]
-			st.Sum += newS - oldS
-			st.Count += newC - oldC
+		newS, newC, err := lp.affectedContrib(tuples, cur.WithOverride(seedID, pos))
+		if err != nil {
+			return err
 		}
+		st := lp.states[v]
+		st.Sum += newS - oldS
+		st.Count += newC - oldC
 		if st.Value(lp.q.Agg.Kind) >= cutoff {
 			seed.Assign[v] = pos
 			lp.states[v] = st
@@ -676,40 +616,14 @@ func (lp *looper) updateSeedVersion(seedID uint64, payloads []uint64, v int, cut
 	return nil
 }
 
-// nextSeedAfter returns the first handle in ids (sorted ascending)
-// strictly greater than key; the allocation-free counterpart of
-// bundle.Tuple.NextSeedAfter over the looper's precomputed seed lists.
-func nextSeedAfter(ids []uint64, key uint64) (uint64, bool) {
-	for _, id := range ids {
-		if id > key {
-			return id, true
-		}
-	}
-	return 0, false
-}
-
-// fullState recomputes one version's aggregate over every tuple under the
-// given binding; used only by the DisableDeltaAggregates ablation.
-func (lp *looper) fullState(b bundle.Binding) (exec.AggState, error) {
-	st := lp.base
-	for _, tu := range lp.rand {
-		s, c, err := lp.contrib(tu, b)
-		if err != nil {
-			return st, err
-		}
-		st.Add(s, c)
-	}
-	return st, nil
-}
-
 // affectedContrib sums the contributions of the Gibbs tuples associated
 // with the seed being updated; only these can change when the seed's
 // assignment changes, so the aggregate delta needs no full recomputation.
-func (lp *looper) affectedContrib(payloads []uint64, b bundle.Binding) (float64, int64, error) {
+func (lp *looper) affectedContrib(tuples []int, b bundle.Binding) (float64, int64, error) {
 	var s float64
 	var c int64
-	for _, p := range payloads {
-		ds, dc, err := lp.contrib(lp.rand[p], b)
+	for _, t := range tuples {
+		ds, dc, err := lp.contrib(lp.rand[t], b, lp.buf)
 		if err != nil {
 			var nm *bundle.ErrNotMaterialized
 			if errors.As(err, &nm) {

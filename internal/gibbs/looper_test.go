@@ -291,18 +291,8 @@ func TestFinalPredicateSpanningSeeds(t *testing.T) {
 	// Two random attributes from different seeds combined in the final
 	// predicate — the case that MUST be handled in the looper (App. A).
 	cat := lossCatalog([]float64{5, 5, 5})
-	normal, _ := vg.NewRegistry().Lookup("Normal")
 	ws := exec.NewWorkspace(cat, prng.NewStream(9), 2048)
-	scan, _ := exec.NewScan(cat, "means", "means")
-	seed1, err := exec.NewSeed(scan, normal, []expr.Expr{expr.C("means.m"), expr.F(1)}, []string{"a"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seed2, err := exec.NewSeed(seed1, normal, []expr.Expr{expr.C("means.m"), expr.F(1)}, []string{"b"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := &exec.Instantiate{Child: seed2}
+	plan := twoSeedPlan(t, ws)
 	q := Query{
 		Agg:       exec.AggSpec{Kind: exec.AggSum, Expr: expr.B(expr.OpSub, expr.C("b"), expr.C("a"))},
 		FinalPred: expr.B(expr.OpGt, expr.C("b"), expr.C("a")),

@@ -1,6 +1,7 @@
 package gibbs
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -128,6 +129,39 @@ func TestRunParallelismDeterminism(t *testing.T) {
 			if got.TailSamples[i] != want.TailSamples[i] {
 				t.Errorf("parallelism=%d: tail sample %d = %v, want %v", parallelism, i, got.TailSamples[i], want.TailSamples[i])
 			}
+		}
+	}
+}
+
+// TestRecomputeStatesReplenishSharded drives the batch recomputation past
+// the materialized window: the round that meets an unmaterialized position
+// replenishes once and retries the whole batch, and every shard layout
+// yields the inline run's states bit for bit, after as many replenishments.
+func TestRecomputeStatesReplenishSharded(t *testing.T) {
+	const n = 300
+	run := func(parallelism int) ([]exec.AggState, int) {
+		t.Helper()
+		ws := exec.NewWorkspace(lossCatalog([]float64{3, 4, 5}), prng.NewStream(13), 64)
+		lp := &looper{ws: ws, plan: selectivePlan(t, ws, 1), q: sumQuery(), cfg: Config{N: n, Parallelism: parallelism}}
+		if err := lp.init(); err != nil {
+			t.Fatal(err)
+		}
+		if err := lp.recomputeStates(n); err != nil {
+			t.Fatalf("parallelism=%d: %v", parallelism, err)
+		}
+		return lp.states, lp.totalRepl
+	}
+	want, wantRepl := run(1)
+	if wantRepl == 0 {
+		t.Fatal("a window of 64 for 300 versions should replenish")
+	}
+	for _, parallelism := range []int{2, 3, 7} {
+		got, repl := run(parallelism)
+		if repl != wantRepl {
+			t.Errorf("parallelism=%d: %d replenishments, want %d", parallelism, repl, wantRepl)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("parallelism=%d: states differ from the inline run", parallelism)
 		}
 	}
 }

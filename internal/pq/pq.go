@@ -1,10 +1,14 @@
-// Package pq implements the disk-based priority queue the GibbsLooper uses
-// to order Gibbs tuples by TS-seed handle (paper §7). Entries are (key,
-// payload) pairs; the queue keeps a bounded in-memory heap and spills
-// sorted runs to a temporary file when the bound is exceeded, merging runs
-// with the heap on pop — "essentially merging Gibbs tuples in the
-// disk-based priority queue with a sorted file containing all of the
-// TS-seeds".
+// Package pq implements the disk-based priority queue the paper's
+// GibbsLooper uses to order Gibbs tuples by TS-seed handle (paper §7).
+// Entries are (key, payload) pairs; the queue keeps a bounded in-memory
+// heap and spills sorted runs to a temporary file when the bound is
+// exceeded, merging runs with the heap on pop — "essentially merging Gibbs
+// tuples in the disk-based priority queue with a sorted file containing
+// all of the TS-seeds".
+//
+// The engine no longer calls it: the looper holds its Gibbs tuples in
+// memory and walks a seed-to-tuple index instead (internal/gibbs). The
+// package stays for the benchmark harness's queue probe.
 package pq
 
 import (

@@ -2,9 +2,11 @@
 // TS-seed augments a PRNG seed with the bookkeeping the Gibbs Looper needs:
 // the range of stream values currently materialized, the last stream value
 // ever tried by rejection sampling, and the stream position currently
-// assigned to each DB version. Seeds are stored sorted by handle so the
-// looper can merge them with the Gibbs-tuple priority queue, and cloning a
-// DB version is a single pass copying assignment columns (paper App. A).
+// assigned to each DB version. Seeds are stored sorted by handle, the order
+// in which the looper visits them (the paper merges this sorted store with a
+// priority queue of Gibbs tuples; the looper indexes its in-memory tuples by
+// handle instead), and cloning a DB version is a single pass copying
+// assignment columns (paper App. A).
 package seeds
 
 import (
@@ -247,7 +249,7 @@ func (st *Store) MustGet(id uint64) *TSSeed {
 // Len returns the number of seeds.
 func (st *Store) Len() int { return len(st.byID) }
 
-// IDs returns all handles in ascending order; the looper's outer loop.
+// IDs returns all handles in ascending order.
 func (st *Store) IDs() []uint64 { return append([]uint64(nil), st.order...) }
 
 // InitAssign sets every seed's assignment to the identity mapping

@@ -432,7 +432,7 @@ WITH RESULTDISTRIBUTION MONTECARLO(128)`)
 }
 
 // BenchmarkHotpath_TailSampling measures one small Gibbs tail-sampling run
-// (the MCDB-R core loop: bootstrapping, rejection sampling, replenishing)
+// (the MCDB-R core loop: bootstrapping, rejection sampling, on-demand draws)
 // with allocation reporting.
 func BenchmarkHotpath_TailSampling(b *testing.B) {
 	e := mcdbr.New(mcdbr.WithSeed(5), mcdbr.WithWindow(2048), mcdbr.WithParallelism(1))
@@ -541,24 +541,6 @@ func benchTailOnce(b *testing.B, seed uint64, window int, opts mcdbr.TailSampleO
 	if _, err := e.Query().From("losses", "").SelectSum(expr.C("val")).
 		TailSample(0.001, 100, opts); err != nil {
 		b.Fatal(err)
-	}
-}
-
-// BenchmarkAblation_WindowSmall vs WindowLarge quantifies the §5 tradeoff:
-// small windows carry less data through the plan but force more
-// replenishing runs.
-func BenchmarkAblation_WindowSmall(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		benchTailOnce(b, uint64(i), 256, mcdbr.TailSampleOptions{TotalSamples: 500, ForceM: 5})
-	}
-}
-
-// BenchmarkAblation_WindowLarge is the large-window counterpart.
-func BenchmarkAblation_WindowLarge(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		benchTailOnce(b, uint64(i), 8192, mcdbr.TailSampleOptions{TotalSamples: 500, ForceM: 5})
 	}
 }
 

@@ -191,7 +191,7 @@ func printResult(res *mcdbr.ExecResult) {
 		}
 		fmt.Printf("tail distribution (%s quantile, p=%g): quantile estimate %g, expected shortfall (CVaR) %g, %d samples\n",
 			dir, t.P, t.QuantileEstimate, t.ExpectedShortfall, len(t.Samples))
-		fmt.Printf("  iterations: %d, replenishing runs: %d\n", len(t.Diag.Iters), t.Diag.Replenishments)
+		fmt.Printf("  iterations: %d\n", len(t.Diag.Iters))
 	}
 }
 

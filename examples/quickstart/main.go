@@ -66,6 +66,5 @@ FREQUENCYTABLE totalLoss`, mcdbr.TailSampleOptions{TotalSamples: 500})
 	}
 	fmt.Printf("tail boundary via SELECT MIN(totalLoss) FROM FTABLE: %.2f\n", minRes.Scalar)
 
-	fmt.Printf("tail-sampling iterations: %d, replenishing runs: %d\n",
-		len(tailRes.Diag.Iters), tailRes.Diag.Replenishments)
+	fmt.Printf("tail-sampling iterations: %d\n", len(tailRes.Diag.Iters))
 }

@@ -3,13 +3,17 @@
 // deterministic attribute values, references binding each random attribute
 // slot to a TS-seed (and to a column of that seed's VG output), and isPres
 // vectors recording — per materialized stream element — whether a selection
-// predicate applied below the looper is satisfied.
+// predicate applied below the looper is satisfied. Where the paper re-runs
+// the plan to get bits for stream elements beyond the window (§9), a
+// presence vector here keeps its predicate's lineage and re-derives the bit
+// from the VG output row at that position.
 package bundle
 
 import (
 	"fmt"
 	"sort"
 
+	"repro/internal/expr"
 	"repro/internal/seeds"
 	"repro/internal/types"
 )
@@ -34,37 +38,69 @@ type RandRef struct {
 // stream element rather than per whole tuple).
 type PresVec struct {
 	SeedID uint64
-	// Lo and Bits mirror the seed window's contiguous segment.
+	// Lo and Bits mirror the seed window.
 	Lo   uint64
 	Bits []bool
-	// Sparse mirrors the window's still-assigned stragglers.
-	Sparse map[uint64]bool
+	// Lineage answers for positions outside Bits; nil means such
+	// positions are an error.
+	Lineage *Lineage
 }
 
-// At reports the predicate outcome for a stream position; ok is false when
-// the position is not covered (the caller must replenish).
+// Lineage re-derives a presence bit from the VG output row at any stream
+// position. It is shared read-only by every evaluation, so it never holds
+// scratch state: sharded state recomputation calls it concurrently.
+type Lineage struct {
+	// A Select predicate (Pred non-nil): Det is the tuple's row as the
+	// Select saw it; Refs' slots are overlaid with the seed's VG outputs
+	// and Pred is evaluated by the interpreter.
+	Pred *expr.Compiled
+	Refs []RandRef
+	Det  types.Row
+	// A Split group (Pred nil): present iff VG output Out equals
+	// Groups[Group]. Groups holds the distinct values of the window the
+	// Split enumerated; a value outside it has no output tuple.
+	Out    int
+	Group  int
+	Groups []types.Value
+}
+
+// present evaluates the lineage on one VG output row, using scratch (any
+// length) as the predicate's row buffer when it is wide enough.
+func (l *Lineage) present(seedID uint64, vals []types.Value, scratch types.Row) (bool, error) {
+	if l.Pred == nil {
+		if l.Out >= len(vals) {
+			return false, fmt.Errorf("bundle: seed %d output %d of %d", seedID, l.Out, len(vals))
+		}
+		v := vals[l.Out]
+		for g, gv := range l.Groups {
+			if gv.Equal(v) {
+				return g == l.Group, nil
+			}
+		}
+		return false, fmt.Errorf("bundle: seed %d drew %v, which the Split over its window did not enumerate; enlarge the window so every value of the split attribute appears in it", seedID, v)
+	}
+	row := scratch[:cap(scratch)]
+	if len(row) < len(l.Det) {
+		row = make(types.Row, len(l.Det))
+	}
+	row = row[:len(l.Det)]
+	copy(row, l.Det)
+	for _, r := range l.Refs {
+		if r.Out >= len(vals) {
+			return false, fmt.Errorf("bundle: seed %d output %d of %d", seedID, r.Out, len(vals))
+		}
+		row[r.Slot] = vals[r.Out]
+	}
+	return l.Pred.EvalBool(row), nil
+}
+
+// At reports the predicate outcome for a stream position inside Bits; ok
+// is false outside them, where only the lineage can answer.
 func (p *PresVec) At(pos uint64) (present, ok bool) {
 	if pos >= p.Lo && pos < p.Lo+uint64(len(p.Bits)) {
 		return p.Bits[pos-p.Lo], true
 	}
-	b, ok := p.Sparse[pos]
-	return b, ok
-}
-
-// Any reports whether any covered position satisfies the predicate; tuples
-// with an all-false vector are dropped by Select (paper §5).
-func (p *PresVec) Any() bool {
-	for _, b := range p.Bits {
-		if b {
-			return true
-		}
-	}
-	for _, b := range p.Sparse {
-		if b {
-			return true
-		}
-	}
-	return false
+	return false, false
 }
 
 // Tuple is one Gibbs tuple.
@@ -82,8 +118,8 @@ type Tuple struct {
 // NewDet returns a purely deterministic tuple.
 func NewDet(row types.Row) *Tuple { return &Tuple{Det: row} }
 
-// Clone returns a deep copy (presence sparse maps are shared: they are
-// written only when rebuilt whole, never mutated in place).
+// Clone returns a deep copy (presence bits and lineage are shared: they
+// are never mutated in place).
 func (t *Tuple) Clone() *Tuple {
 	out := &Tuple{Det: t.Det.Clone()}
 	out.Rand = append([]RandRef(nil), t.Rand...)
@@ -116,7 +152,8 @@ func (t *Tuple) SeedIDs() []uint64 {
 
 // Binding gives stream positions per seed for evaluation: the looper
 // evaluates tuples under the current assignment of a DB version, optionally
-// overriding one seed with a candidate position during rejection sampling.
+// overriding one seed with a candidate position (and its drawn VG output
+// row) during rejection sampling.
 type Binding struct {
 	store *seeds.Store
 	// version indexes each seed's Assign column.
@@ -124,6 +161,7 @@ type Binding struct {
 	// override, when set, replaces the assignment of overrideSeed.
 	overrideSeed uint64
 	overridePos  uint64
+	overrideRow  []types.Value
 	hasOverride  bool
 }
 
@@ -133,9 +171,9 @@ func Bind(store *seeds.Store, version int) Binding {
 }
 
 // WithOverride returns a copy of the binding in which seed id is pinned to
-// pos instead of its current assignment.
-func (b Binding) WithOverride(id, pos uint64) Binding {
-	b.overrideSeed, b.overridePos, b.hasOverride = id, pos, true
+// pos, whose VG output row is row, instead of its current assignment.
+func (b Binding) WithOverride(id, pos uint64, row []types.Value) Binding {
+	b.overrideSeed, b.overridePos, b.overrideRow, b.hasOverride = id, pos, row, true
 	return b
 }
 
@@ -147,47 +185,59 @@ func (b Binding) Pos(id uint64) uint64 {
 	return b.store.MustGet(id).Assign[b.version]
 }
 
-// ErrNotMaterialized reports an access to a stream position outside the
-// materialized window; the looper reacts by triggering a replenishing run.
-type ErrNotMaterialized struct {
-	SeedID uint64
-	Pos    uint64
-}
-
-func (e *ErrNotMaterialized) Error() string {
-	return fmt.Sprintf("bundle: seed %d position %d not materialized", e.SeedID, e.Pos)
+// row returns the VG output row at the position the binding uses for a
+// seed: the override row, else the window's, else the version's cached row.
+func (b Binding) row(id uint64) ([]types.Value, error) {
+	if b.hasOverride && id == b.overrideSeed {
+		return b.overrideRow, nil
+	}
+	s := b.store.MustGet(id)
+	if vals, ok := s.Row(b.version); ok {
+		return vals, nil
+	}
+	return nil, fmt.Errorf("bundle: seed %d position %d of version %d is neither materialized nor cached", id, s.Assign[b.version], b.version)
 }
 
 // Eval materializes the tuple's row under the binding and reports whether
-// the tuple is present (all isPres bits true at the bound positions). The
-// returned row aliases an internal buffer valid until the next Eval with
-// the same buf; pass nil to allocate.
+// the tuple is present (every presence vector true at the bound
+// positions). The returned row aliases an internal buffer valid until the
+// next Eval with the same buf; pass nil to allocate. A presence vector
+// answering through its lineage uses buf as scratch, so buf must not
+// alias t.Det or the lineage's rows.
 func (t *Tuple) Eval(b Binding, buf types.Row) (row types.Row, present bool, err error) {
+	for i := range t.Pres {
+		p := &t.Pres[i]
+		pos := b.Pos(p.SeedID)
+		bit, ok := p.At(pos)
+		if !ok {
+			if p.Lineage == nil {
+				return nil, false, fmt.Errorf("bundle: seed %d position %d outside the presence bits, with no lineage", p.SeedID, pos)
+			}
+			vals, err := b.row(p.SeedID)
+			if err != nil {
+				return nil, false, err
+			}
+			if bit, err = p.Lineage.present(p.SeedID, vals, buf); err != nil {
+				return nil, false, err
+			}
+		}
+		if !bit {
+			return nil, false, nil
+		}
+	}
 	if cap(buf) >= len(t.Det) {
 		buf = buf[:len(t.Det)]
 		copy(buf, t.Det)
 	} else {
 		buf = t.Det.Clone()
 	}
-	for _, p := range t.Pres {
-		pos := b.Pos(p.SeedID)
-		bit, ok := p.At(pos)
-		if !ok {
-			return buf, false, &ErrNotMaterialized{SeedID: p.SeedID, Pos: pos}
-		}
-		if !bit {
-			return buf, false, nil
-		}
-	}
 	for _, r := range t.Rand {
-		pos := b.Pos(r.SeedID)
-		s := b.store.MustGet(r.SeedID)
-		vals, ok := s.Window.Get(pos)
-		if !ok {
-			return buf, false, &ErrNotMaterialized{SeedID: r.SeedID, Pos: pos}
+		vals, err := b.row(r.SeedID)
+		if err != nil {
+			return nil, false, err
 		}
 		if r.Out >= len(vals) {
-			return buf, false, fmt.Errorf("bundle: seed %d output %d of %d", r.SeedID, r.Out, len(vals))
+			return nil, false, fmt.Errorf("bundle: seed %d output %d of %d", r.SeedID, r.Out, len(vals))
 		}
 		buf[r.Slot] = vals[r.Out]
 	}

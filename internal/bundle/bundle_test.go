@@ -1,9 +1,9 @@
 package bundle
 
 import (
-	"errors"
 	"testing"
 
+	"repro/internal/expr"
 	"repro/internal/prng"
 	"repro/internal/seeds"
 	"repro/internal/types"
@@ -39,28 +39,19 @@ func testStore(t *testing.T, nSeeds, nVersions, window int) *seeds.Store {
 }
 
 func TestPresVecAt(t *testing.T) {
-	p := PresVec{SeedID: 1, Lo: 4, Bits: []bool{true, false},
-		Sparse: map[uint64]bool{1: true, 2: false}}
+	p := PresVec{SeedID: 1, Lo: 4, Bits: []bool{true, false}}
 	cases := []struct {
 		pos         uint64
 		wantPresent bool
 		wantCovered bool
 	}{
-		{4, true, true}, {5, false, true}, {1, true, true}, {2, false, true},
-		{0, false, false}, {6, false, false},
+		{4, true, true}, {5, false, true}, {3, false, false}, {6, false, false},
 	}
 	for _, tc := range cases {
 		got, ok := p.At(tc.pos)
 		if got != tc.wantPresent || ok != tc.wantCovered {
 			t.Errorf("At(%d) = %v,%v want %v,%v", tc.pos, got, ok, tc.wantPresent, tc.wantCovered)
 		}
-	}
-	if !p.Any() {
-		t.Fatal("Any should be true")
-	}
-	empty := PresVec{Bits: []bool{false}, Sparse: map[uint64]bool{9: false}}
-	if empty.Any() {
-		t.Fatal("Any on all-false must be false")
 	}
 }
 
@@ -119,17 +110,17 @@ func TestEvalWithOverride(t *testing.T) {
 		Det:  types.Row{types.Null},
 		Rand: []RandRef{{Slot: 0, SeedID: 0, Out: 0}},
 	}
-	b := Bind(st, 0).WithOverride(0, 5)
+	want, _ := st.MustGet(0).Window.Get(5)
+	b := Bind(st, 0).WithOverride(0, 5, want)
 	row, present, err := tu.Eval(b, nil)
 	if err != nil || !present {
 		t.Fatal(err)
 	}
-	want, _ := st.MustGet(0).Window.Get(5)
 	if !row[0].Equal(want[0]) {
 		t.Fatalf("override not applied: %v vs %v", row[0], want[0])
 	}
 	// Override of a different seed must not affect this one.
-	b2 := Bind(st, 1).WithOverride(99, 5)
+	b2 := Bind(st, 1).WithOverride(99, 5, want)
 	row2, _, _ := tu.Eval(b2, nil)
 	want2, _ := st.MustGet(0).Window.Get(1)
 	if !row2[0].Equal(want2[0]) {
@@ -155,25 +146,66 @@ func TestEvalPresence(t *testing.T) {
 	}
 }
 
-func TestEvalNotMaterialized(t *testing.T) {
-	st := testStore(t, 1, 2, 4)
-	st.MustGet(0).Assign[0] = 100 // outside window
-	tu := &Tuple{Det: types.Row{types.Null}, Rand: []RandRef{{Slot: 0, SeedID: 0, Out: 0}}}
-	_, _, err := tu.Eval(Bind(st, 0), nil)
-	var nm *ErrNotMaterialized
-	if !errors.As(err, &nm) {
-		t.Fatalf("err = %v, want ErrNotMaterialized", err)
+// TestEvalBeyondWindow: positions outside the window read the override
+// row or the version's cached row, presence vectors answer through their
+// lineage, and a position with neither is an error.
+func TestEvalBeyondWindow(t *testing.T) {
+	st := testStore(t, 1, 3, 4)
+	s := st.MustGet(0)
+	row100, _ := s.ValueAt(100)
+	s.SetAssign(0, 100, row100)
+	tu := &Tuple{Det: types.Row{types.Null}, Rand: []RandRef{{Slot: 0, SeedID: 0, Out: 1}}}
+	got, present, err := tu.Eval(Bind(st, 0), nil)
+	if err != nil || !present || !got[0].Equal(row100[1]) {
+		t.Fatalf("cached row: %v %v %v, want %v", got, present, err, row100[1])
 	}
-	if nm.SeedID != 0 || nm.Pos != 100 {
-		t.Fatalf("nm = %+v", nm)
+	row7, _ := s.ValueAt(7)
+	got, _, err = tu.Eval(Bind(st, 1).WithOverride(0, 7, row7), nil)
+	if err != nil || !got[0].Equal(row7[1]) {
+		t.Fatalf("override row: %v %v, want %v", got, err, row7[1])
 	}
-	// Presence vector misses must also trigger the error.
-	tu2 := &Tuple{Det: types.Row{types.NewInt(1)},
-		Pres: []PresVec{{SeedID: 0, Lo: 0, Bits: []bool{true, true}}}}
-	st.MustGet(0).Assign[1] = 50
-	_, _, err = tu2.Eval(Bind(st, 1), nil)
-	if !errors.As(err, &nm) {
-		t.Fatalf("pres miss err = %v", err)
+	s.Assign[2] = 50 // assigned without a row
+	if _, _, err := tu.Eval(Bind(st, 2), nil); err == nil {
+		t.Fatal("a position neither materialized nor cached must error")
+	}
+
+	// Select lineage: present iff output 0 exceeds the cut.
+	cut := row100[0].Float()
+	pred, err := expr.Compile(expr.B(expr.OpGe, expr.C("x"), expr.F(cut)), types.NewSchema(types.Column{Name: "x", Kind: types.KindFloat}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel := &Tuple{Det: types.Row{types.NewInt(1)}, Pres: []PresVec{{SeedID: 0, Lo: 0, Bits: []bool{true, true, true, true},
+		Lineage: &Lineage{Pred: pred, Refs: []RandRef{{Slot: 0, SeedID: 0, Out: 0}}, Det: types.Row{types.Null}}}}}
+	if _, present, err := sel.Eval(Bind(st, 0), make(types.Row, 1)); err != nil || !present {
+		t.Fatalf("lineage at the cut: present=%v err=%v", present, err)
+	}
+	lower := []types.Value{types.NewFloat(cut - 1), types.NewFloat(0)}
+	if _, present, err := sel.Eval(Bind(st, 0).WithOverride(0, 9, lower), nil); err != nil || present {
+		t.Fatalf("lineage below the cut: present=%v err=%v", present, err)
+	}
+	if _, present, _ := sel.Eval(Bind(st, 1), nil); !present {
+		t.Fatal("an in-window position must read the bits")
+	}
+
+	// Split lineage: group 1 of {row100[1], 42}; other values error.
+	groups := []types.Value{types.NewFloat(42), row100[1]}
+	split := &Tuple{Det: types.Row{types.NewInt(1)}, Pres: []PresVec{{SeedID: 0, Lo: 0, Bits: make([]bool, 4),
+		Lineage: &Lineage{Out: 1, Group: 1, Groups: groups}}}}
+	if _, present, err := split.Eval(Bind(st, 0), nil); err != nil || !present {
+		t.Fatalf("split lineage, own group: present=%v err=%v", present, err)
+	}
+	other := []types.Value{types.NewFloat(0), types.NewFloat(42)}
+	if _, present, err := split.Eval(Bind(st, 0).WithOverride(0, 9, other), nil); err != nil || present {
+		t.Fatalf("split lineage, other group: present=%v err=%v", present, err)
+	}
+	unseen := []types.Value{types.NewFloat(0), types.NewFloat(-3)}
+	if _, _, err := split.Eval(Bind(st, 0).WithOverride(0, 9, unseen), nil); err == nil {
+		t.Fatal("a split value outside the enumerated groups must error, not drop the tuple")
+	}
+	bare := &Tuple{Det: types.Row{types.NewInt(1)}, Pres: []PresVec{{SeedID: 0, Lo: 0, Bits: make([]bool, 4)}}}
+	if _, _, err := bare.Eval(Bind(st, 0), nil); err == nil {
+		t.Fatal("a position outside the bits without lineage must error")
 	}
 }
 

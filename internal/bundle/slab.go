@@ -50,8 +50,8 @@ const (
 // first — the zero Value is NULL and the zero Tuple is empty, so recycled
 // memory is indistinguishable from fresh memory. Callers must therefore
 // only Reset a slab when nothing allocated from it is reachable anymore
-// (the workspace does this when a replenishing run discards the previous
-// plan output).
+// (operators reset their per-operator slab at each batch and when it goes
+// back to the pool; the workspace never resets the slab Retain uses).
 //
 // All returned slices are capacity-limited to their length, so appending
 // to one can never clobber a neighbouring allocation.

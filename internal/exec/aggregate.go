@@ -704,10 +704,9 @@ func windowIdentity(ws *Workspace, id uint64, n int) bool {
 // ok=false means window-major evaluation does not apply to this run —
 // kernels are disabled, an expression cannot be lowered, or some seed's
 // assignment / window / presence coverage is not the contiguous identity
-// layout (e.g. n exceeds the materialized window, or a replenishing run
-// left sparse positions). out and include may then be part-written; the
-// caller must run the version-major path, which overwrites every slot and
-// raises ErrNotMaterialized/replenishes exactly as before.
+// layout (e.g. n exceeds the materialized window). out and include may
+// then be part-written; the caller must run the version-major path, which
+// overwrites every slot.
 func (ev *AggEval) EvalWindow(ws *Workspace, n int, out [][][]float64, include [][]bool) (bool, error) {
 	if !ev.kernelsOn || ev.winBad || n < 1 {
 		return false, nil

@@ -13,17 +13,19 @@
 // size, because TS-seed allocation, window materialization, and output
 // order depend only on the tuple stream order, which batching preserves.
 //
-// Plans support the replenishing runs of paper §9: results of fully
-// deterministic subtrees are materialized on first execution and served
-// from cache on re-execution, the TS-seed allocator is rewound so the same
-// logical seeds are revisited in the same order, and Instantiate adds only
-// new or currently-assigned stream values.
+// A plan runs once per query run: results of fully deterministic subtrees
+// are materialized on first execution and served from cache on
+// re-execution (Workspace.Run, the prefix cache), and Instantiate
+// materializes one window per TS-seed. Stream positions beyond it are a
+// pure function of (seed, position) and are drawn on demand by the Gibbs
+// looper, so the paper's §9 replenishing runs do not exist here.
 package exec
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/bundle"
@@ -80,11 +82,12 @@ type Workspace struct {
 	Master prng.Stream
 	// Seeds is the query's TS-seed store.
 	Seeds *seeds.Store
-	// Window is the number of fresh stream values Instantiate materializes
-	// per seed per run (the paper's "1000 random values initially").
+	// Window is the number of stream values Instantiate materializes per
+	// seed (the paper's "1000 random values initially"). The looper draws
+	// positions beyond it on demand; there are no replenishing runs.
 	Window int
-	// Base is the first stream position Instantiate materializes on a
-	// non-replenishing run: the window covers [Base, Base+Window). It is 0
+	// Base is the first stream position Instantiate materializes: the
+	// window covers [Base, Base+Window). It is 0
 	// for ordinary sequential execution; replicate-sharded parallel
 	// execution gives each worker a workspace whose Base is the first
 	// replicate of its shard, so workers materialize disjoint slices of the
@@ -93,8 +96,6 @@ type Workspace struct {
 	Base uint64
 	// Catalog resolves Scan table names.
 	Catalog *storage.Catalog
-	// Replenishing is true during a §9 replenishing run.
-	Replenishing bool
 	// Prefix, when non-nil, is the engine-level deterministic-prefix
 	// materialization cache handle: Materialize nodes store and look up
 	// their subtree results there, keyed by subtree fingerprint, so
@@ -121,16 +122,15 @@ type Workspace struct {
 
 	matCache map[Node][]*bundle.Tuple
 
-	// det holds allocations that must survive replenishing runs
-	// (deterministic subtree outputs, retained compat-Run results of
-	// deterministic plans); tmp holds retained tuples of the current run
-	// and is recycled by BeginReplenish, when the previous plan output is
-	// discarded wholesale. Operator iterators use pooled per-operator
-	// slabs instead, recycled per batch.
-	det, tmp *bundle.Slab
-	// pool recycles per-operator slabs across Open/Close cycles (a
-	// replenishing run re-opens the plan with warm chunks). ws.det is
-	// never pooled: its allocations outlive every iterator.
+	// keep holds allocations that live as long as the workspace:
+	// deterministic subtree outputs, compat-Run results, and the tuples
+	// consumers Retain. Operator iterators use pooled per-operator slabs
+	// instead, recycled per batch.
+	keep *bundle.Slab
+	// pool recycles per-operator slabs across Open/Close cycles, so a
+	// re-opened plan (a join's build side, a second run on the same
+	// workspace) starts with warm chunks. ws.keep is never pooled: its
+	// allocations outlive every iterator.
 	pool []*bundle.Slab
 	// Slabs, when non-nil, is an engine-shared pool consulted after the
 	// run-local one, so a fresh workspace per query still opens with warm
@@ -203,11 +203,9 @@ func NewWorkspace(cat *storage.Catalog, master prng.Stream, window int) *Workspa
 		Catalog:  cat,
 		Gauge:    &bundle.MemGauge{},
 		matCache: make(map[Node][]*bundle.Tuple),
-		det:      bundle.NewSlab(),
-		tmp:      bundle.NewSlab(),
+		keep:     bundle.NewSlab(),
 	}
-	ws.det.SetGauge(ws.Gauge)
-	ws.tmp.SetGauge(ws.Gauge)
+	ws.keep.SetGauge(ws.Gauge)
 	return ws
 }
 
@@ -227,8 +225,7 @@ func (ws *Workspace) Cancelled() error {
 // before the workspace allocates anything.
 func (ws *Workspace) adoptGauge(g *bundle.MemGauge) {
 	ws.Gauge = g
-	ws.det.SetGauge(g)
-	ws.tmp.SetGauge(g)
+	ws.keep.SetGauge(g)
 }
 
 // batchSize resolves the effective batch size.
@@ -252,8 +249,8 @@ func (ws *Workspace) checkBudget() error {
 }
 
 // getSlab hands an iterator a per-operator slab from the workspace pool;
-// putSlab resets it and returns it at Close, so a replenishing run's
-// re-opened iterators reuse warm chunks instead of growing fresh ones.
+// putSlab resets it and returns it at Close, so re-opened iterators reuse
+// warm chunks instead of growing fresh ones.
 func (ws *Workspace) getSlab() *bundle.Slab {
 	if n := len(ws.pool); n > 0 {
 		s := ws.pool[n-1]
@@ -282,10 +279,10 @@ func (ws *Workspace) putSlab(s *bundle.Slab) {
 // Retain copies tu out of its producer's recyclable batch arena into the
 // workspace's run-lifetime slab, so the caller may hold it across batches
 // (the gibbs looper keeps every random tuple for the whole sampling run).
-// Det and Rand are copied; Pres is shared — presence vectors are ordinary
-// GC allocations and never mutated in place.
+// Det and Rand are copied; Pres is shared — presence vectors and their
+// lineage are ordinary GC allocations and never mutated in place.
 func (ws *Workspace) Retain(tu *bundle.Tuple) *bundle.Tuple {
-	return retainInto(ws.tmp, tu)
+	return retainInto(ws.keep, tu)
 }
 
 func retainInto(slab *bundle.Slab, tu *bundle.Tuple) *bundle.Tuple {
@@ -337,35 +334,19 @@ func (ws *Workspace) drainNode(n Node, slab *bundle.Slab) ([]*bundle.Tuple, erro
 // Run executes the plan rooted at n and materializes its entire output —
 // the compatibility wrapper over the streaming pipeline for consumers
 // that want whole relations (internal/naive, tests). Deterministic roots
-// are cached per workspace, so repeated and replenishing runs reuse the
-// first result; their tuples live on the pinned slab and survive
-// BeginReplenish. On replenishing runs, call BeginReplenish first.
+// are cached per workspace, so repeated runs reuse the first result.
 func (ws *Workspace) Run(n Node) ([]*bundle.Tuple, error) {
-	if n.Deterministic() {
-		if cached, ok := ws.matCache[n]; ok {
-			return cached, nil
-		}
-		out, err := ws.drainNode(n, ws.det)
-		if err != nil {
-			return nil, err
-		}
-		ws.matCache[n] = out
-		return out, nil
+	if cached, ok := ws.matCache[n]; ok {
+		return cached, nil
 	}
-	return ws.drainNode(n, ws.tmp)
-}
-
-// BeginReplenish prepares the workspace for a §9 replenishing run: existing
-// Gibbs tuples are discarded by the caller, the seed allocator is rewound
-// so the deterministic pipeline revisits the same seeds, Instantiate
-// switches to new-or-assigned materialization, and the recyclable tuple
-// slab is reset — the caller has dropped every reference into it, and the
-// deterministic outputs that survive (materialization caches, seed
-// parameter rows) live on the pinned slab.
-func (ws *Workspace) BeginReplenish() {
-	ws.Replenishing = true
-	ws.Seeds.ResetAlloc()
-	ws.tmp.Reset()
+	out, err := ws.drainNode(n, ws.keep)
+	if err != nil {
+		return nil, err
+	}
+	if n.Deterministic() {
+		ws.matCache[n] = out
+	}
+	return out, nil
 }
 
 // Node is one operator in a physical plan.
@@ -593,10 +574,10 @@ func (it *seedIter) Next() (*Batch, error) {
 	it.out = it.out[:0]
 	s, ws := it.op, it.ws
 	for _, tu := range in {
-		// The seed store retains the parameter row (and replaces it on each
-		// replenishing run), so it must be an ordinary GC-managed
-		// allocation: carving it from a slab would either leak one row per
-		// seed per replenishment or be recycled out from under the store.
+		// The seed store retains the parameter row for the whole run, so
+		// it must be an ordinary GC-managed allocation: carving it from
+		// this operator's slab would recycle it out from under the store
+		// at the next batch.
 		params := make([]types.Value, len(it.compiled))
 		for j, c := range it.compiled {
 			params[j] = c.Eval(tu.Det)
@@ -665,10 +646,9 @@ func isRandomSlot(tu *bundle.Tuple, slot int) bool {
 }
 
 // Instantiate materializes stream-value windows for every TS-seed
-// referenced by the child's output (the paper's Instantiate operator). On a
-// first run the window is [0, Window); on a replenishing run it is the
-// never-processed range [MaxUsed+1, MaxUsed+1+Window) plus the positions
-// currently assigned to DB versions (§9).
+// referenced by the child's output (the paper's Instantiate operator): the
+// window is [Base, Base+Window). Positions beyond it are drawn on demand
+// by the Gibbs looper, never by a second run of the plan.
 type Instantiate struct {
 	Child Node
 }
@@ -711,15 +691,8 @@ func (it *instIter) Next() (*Batch, error) {
 				continue
 			}
 			it.done[r.SeedID] = true
-			s := ws.Seeds.MustGet(r.SeedID)
-			if ws.Replenishing {
-				if err := s.Materialize(s.MaxUsed+1, ws.Window, s.AssignedPositions()); err != nil {
-					return nil, err
-				}
-			} else {
-				if err := s.Materialize(ws.Base, ws.Window, nil); err != nil {
-					return nil, err
-				}
+			if err := ws.Seeds.MustGet(r.SeedID).Materialize(ws.Base, ws.Window, nil); err != nil {
+				return nil, err
 			}
 		}
 	}
@@ -731,9 +704,12 @@ func (it *instIter) Close() { it.child.Close() }
 // Select filters tuples by a predicate. Deterministic predicates drop
 // tuples outright. A predicate that references random attributes of
 // exactly one TS-seed per tuple is recorded as an isPres vector over that
-// seed's materialized positions (paper §5); tuples whose vector is
-// all-false are dropped. Predicates spanning random attributes of multiple
-// seeds must instead be pulled up into the Gibbs Looper (paper App. A).
+// seed's materialized positions (paper §5), with the predicate's lineage
+// for positions beyond them. Unlike the paper, a tuple whose vector is
+// all-false is kept: the Gibbs looper may later assign a position beyond
+// the window where the predicate holds, and every consumer skips absent
+// tuples. Predicates spanning random attributes of multiple seeds must
+// instead be pulled up into the Gibbs Looper (paper App. A).
 type Select struct {
 	Child Node
 	Pred  expr.Expr
@@ -896,12 +872,9 @@ func (it *selectIter) Next() (*Batch, error) {
 					it.out = append(it.out, tu)
 				}
 			case len(it.seedIDs) == 1:
-				pv, any, err := buildPresVec(it.ws, tu, it.refs, it.compiled, it.kern, it.scratch)
+				pv, err := buildPresVec(it.ws, tu, it.refs, it.compiled, it.kern, it.scratch)
 				if err != nil {
 					return nil, err
-				}
-				if !any {
-					continue // paper §5: predicate satisfied in no DB instance
 				}
 				// Shallow clone: Det and Rand are shared read-only with the
 				// input tuple; only the presence lineage is extended, into a
@@ -934,69 +907,36 @@ func (it *selectIter) Close() {
 
 // buildPresVec evaluates the predicate for every materialized position of
 // the (single) seed behind refs, substituting that position's VG outputs
-// into the referenced slots. scratch is a caller-provided row buffer of
-// the tuple's width, overwritten per call. When kern is non-nil the
-// contiguous window segment is evaluated window-major through the kernel
-// (deterministic slots broadcast once, VG outputs gathered per version);
-// sparse positions always use the interpreter.
-func buildPresVec(ws *Workspace, tu *bundle.Tuple, refs []bundle.RandRef, pred *expr.Compiled, kern *expr.Kernel, scratch types.Row) (bundle.PresVec, bool, error) {
+// into the referenced slots, and attaches the lineage that answers for
+// positions beyond the window. scratch is a caller-provided row buffer of
+// the tuple's width, overwritten per call. When kern is non-nil the window
+// is evaluated window-major through the kernel (deterministic slots
+// broadcast once, VG outputs gathered per version).
+func buildPresVec(ws *Workspace, tu *bundle.Tuple, refs []bundle.RandRef, pred *expr.Compiled, kern *expr.Kernel, scratch types.Row) (bundle.PresVec, error) {
 	seedID := refs[0].SeedID
-	s := ws.Seeds.MustGet(seedID)
-	w := &s.Window
+	w := &ws.Seeds.MustGet(seedID).Window
+	// The lineage outlives the batch: its Det is a heap copy, never the
+	// tuple's slab-carved row, and refs is the caller's reused buffer.
+	pv := bundle.PresVec{SeedID: seedID, Lo: w.Lo, Bits: make([]bool, len(w.Vals)),
+		Lineage: &bundle.Lineage{Pred: pred, Refs: slices.Clone(refs), Det: tu.Det.Clone()}}
+	if kern != nil && len(w.Vals) > 0 {
+		ok, err := presBitsKernel(w, tu, refs, kern, pv.Bits)
+		if ok || err != nil {
+			return pv, err
+		}
+	}
 	row := scratch
 	copy(row, tu.Det)
-	evalAt := func(pos uint64) (bool, error) {
-		vals, ok := w.Get(pos)
-		if !ok {
-			return false, fmt.Errorf("exec: seed %d position %d not materialized during Select", seedID, pos)
-		}
+	for i, vals := range w.Vals {
 		for _, r := range refs {
 			if r.Out >= len(vals) {
-				return false, fmt.Errorf("exec: seed %d VG output %d of %d", seedID, r.Out, len(vals))
+				return pv, fmt.Errorf("exec: seed %d VG output %d of %d", seedID, r.Out, len(vals))
 			}
 			row[r.Slot] = vals[r.Out]
 		}
-		return pred.EvalBool(row), nil
+		pv.Bits[i] = pred.EvalBool(row)
 	}
-	pv := bundle.PresVec{SeedID: seedID, Lo: w.Lo, Bits: make([]bool, len(w.Vals))}
-	any := false
-	vectorized := false
-	if kern != nil && len(w.Vals) > 0 {
-		ok, err := presBitsKernel(w, tu, refs, kern, pv.Bits)
-		if err != nil {
-			return pv, false, err
-		}
-		vectorized = ok
-	}
-	if vectorized {
-		for _, bit := range pv.Bits {
-			if bit {
-				any = true
-				break
-			}
-		}
-	} else {
-		for i := range w.Vals {
-			b, err := evalAt(w.Lo + uint64(i))
-			if err != nil {
-				return pv, false, err
-			}
-			pv.Bits[i] = b
-			any = any || b
-		}
-	}
-	if len(w.Sparse) > 0 {
-		pv.Sparse = make(map[uint64]bool, len(w.Sparse))
-		for pos := range w.Sparse {
-			b, err := evalAt(pos)
-			if err != nil {
-				return pv, false, err
-			}
-			pv.Sparse[pos] = b
-			any = any || b
-		}
-	}
-	return pv, any, nil
+	return pv, nil
 }
 
 // presBitsKernel runs the Select predicate across a seed's contiguous
@@ -1482,6 +1422,10 @@ func keysEqual(a types.Row, aIdx []int, b types.Row, bIdx []int) bool {
 // attribute into a deterministic one by emitting one tuple per distinct
 // materialized value, transferring the nondeterminism into an isPres
 // vector. Joins on the attribute are then joins on a deterministic value.
+// The group set is the window's distinct values: a stream position beyond
+// the window whose value is not among them has no output tuple to be
+// present in, so evaluating it is an error (bundle.Lineage), never a
+// silently dropped tuple.
 type Split struct {
 	Child Node
 	Col   string
@@ -1592,40 +1536,26 @@ func (it *splitIter) Next() (*Batch, error) {
 			it.out = append(it.out, tu)
 			continue
 		}
-		s := it.ws.Seeds.MustGet(ref.SeedID)
-		w := &s.Window
+		w := &it.ws.Seeds.MustGet(ref.SeedID).Window
 		// Enumerate distinct values in first-position order for run-to-run
 		// determinism.
 		groups := it.groups[:0]
-		find := func(v types.Value) *splitGroup {
-			for i := range groups {
-				if groups[i].val.Equal(v) {
-					return &groups[i]
-				}
-			}
-			groups = append(groups, splitGroup{val: v, pv: bundle.PresVec{
-				SeedID: ref.SeedID, Lo: w.Lo, Bits: make([]bool, len(w.Vals)),
-			}})
-			return &groups[len(groups)-1]
-		}
+		var vals []types.Value
 		for i := range w.Vals {
 			v := w.Vals[i][ref.Out]
-			find(v).pv.Bits[i] = true
-		}
-		if len(w.Sparse) > 0 {
-			// Visit sparse positions in ascending order so group (and
-			// therefore output tuple) order is identical across runs.
-			for _, pos := range w.Positions() {
-				vals, ok := w.Sparse[pos]
-				if !ok {
-					continue
-				}
-				g := find(vals[ref.Out])
-				if g.pv.Sparse == nil {
-					g.pv.Sparse = make(map[uint64]bool)
-				}
-				g.pv.Sparse[pos] = true
+			g := slices.IndexFunc(vals, v.Equal)
+			if g < 0 {
+				g = len(vals)
+				vals = append(vals, v)
+				groups = append(groups, splitGroup{val: v, pv: bundle.PresVec{
+					SeedID: ref.SeedID, Lo: w.Lo, Bits: make([]bool, len(w.Vals)),
+					Lineage: &bundle.Lineage{Out: ref.Out, Group: g},
+				}})
 			}
+			groups[g].pv.Bits[i] = true
+		}
+		for g := range groups {
+			groups[g].pv.Lineage.Groups = vals
 		}
 		it.cur = tu
 		it.groups = groups

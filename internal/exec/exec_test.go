@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -191,6 +192,59 @@ func TestSelectOnRandomAttrBuildsPresVec(t *testing.T) {
 		}
 		if trueCount == 0 || trueCount == len(pv.Bits) {
 			t.Fatalf("suspicious presence distribution: %d/%d", trueCount, len(pv.Bits))
+		}
+	}
+}
+
+// TestSelectKeepsAllFalseTuples: a random predicate false at every window
+// position keeps its tuple (absent everywhere in the window), and the
+// presence lineage answers for positions beyond the window from the VG
+// output row there.
+func TestSelectKeepsAllFalseTuples(t *testing.T) {
+	cat := testCatalog()
+	ws := NewWorkspace(cat, prng.NewStream(1), 16)
+	plan := buildLossPlan(t, ws)
+	// Every mean is at most 5 with sd 1; val > mean+3 is rare enough that
+	// some seeds have no true bit in a 16-value window.
+	sel := &Select{Child: plan, Pred: expr.B(expr.OpGt, expr.C("losses.val"), expr.B(expr.OpAdd, expr.C("means.m"), expr.F(3)))}
+	out, err := ws.Run(sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != 3 {
+		t.Fatalf("rows = %d, want all 3 kept", len(out))
+	}
+	allFalse := 0
+	for _, tu := range out {
+		if !slices.Contains(tu.Pres[0].Bits, true) {
+			allFalse++
+		}
+	}
+	if allFalse == 0 {
+		t.Fatal("no tuple is absent throughout the window; the test covers nothing")
+	}
+	for _, tu := range out {
+		pv := tu.Pres[0]
+		s := ws.Seeds.MustGet(pv.SeedID)
+		if pv.Lineage == nil {
+			t.Fatal("a random Select must attach lineage")
+		}
+		// Find a beyond-window position where the predicate holds and one
+		// where it fails; Eval must agree with the raw value.
+		seen := map[bool]bool{}
+		for pos := uint64(16); len(seen) < 2; pos++ {
+			vals, _ := s.ValueAt(pos)
+			want := vals[0].Float() > s.Params[0].Float()+3
+			if seen[want] {
+				continue
+			}
+			seen[want] = true
+			s.Assign = []uint64{0}
+			s.SetAssign(0, pos, vals)
+			_, present, err := tu.Eval(bundle.Bind(ws.Seeds, 0), make(types.Row, 4))
+			if err != nil || present != want {
+				t.Fatalf("seed %d pos %d: present=%v err=%v, want %v", pv.SeedID, pos, present, err, want)
+			}
 		}
 	}
 }
@@ -405,8 +459,8 @@ func TestDeterministicSubplanCaching(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Mutate the underlying catalog table; the cached materialization must
-	// be served on re-run (the paper materializes deterministic parts to
-	// avoid recomputation during replenishment).
+	// be served on re-run (the paper materializes deterministic parts so
+	// re-runs skip them).
 	cat.MustGet("means").MustAppend(types.Row{types.NewInt(99), types.NewFloat(9)})
 	second, err := ws.Run(scan)
 	if err != nil {
@@ -414,45 +468,6 @@ func TestDeterministicSubplanCaching(t *testing.T) {
 	}
 	if len(first) != len(second) {
 		t.Fatalf("cache miss: %d vs %d", len(first), len(second))
-	}
-}
-
-func TestReplenishingRunReusesSeedsAndExtendsWindows(t *testing.T) {
-	cat := testCatalog()
-	ws := NewWorkspace(cat, prng.NewStream(1), 8)
-	plan := buildLossPlan(t, ws)
-	if _, err := ws.Run(plan); err != nil {
-		t.Fatal(err)
-	}
-	s0 := ws.Seeds.MustGet(0)
-	// Simulate looper usage: versions assigned, MaxUsed advanced.
-	s0.Assign = []uint64{2, 5}
-	s0.MaxUsed = 7
-	old2, _ := s0.Window.Get(2)
-
-	ws.BeginReplenish()
-	out, err := ws.Run(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 3 || ws.Seeds.Len() != 3 {
-		t.Fatalf("replenish changed tuple/seed counts: %d/%d", len(out), ws.Seeds.Len())
-	}
-	if ws.Seeds.MustGet(0) != s0 {
-		t.Fatal("seed identity lost")
-	}
-	// Fresh window starts at MaxUsed+1 = 8.
-	if s0.Window.Lo != 8 || len(s0.Window.Vals) != 8 {
-		t.Fatalf("window = [%d, +%d)", s0.Window.Lo, len(s0.Window.Vals))
-	}
-	// Assigned position 2 kept, identical value.
-	got2, ok := s0.Window.Get(2)
-	if !ok || !got2[0].Equal(old2[0]) {
-		t.Fatal("assigned position lost or changed in replenish")
-	}
-	// Non-assigned old position gone.
-	if s0.Window.Contains(3) {
-		t.Fatal("processed position 3 must not be rematerialized (§9)")
 	}
 }
 

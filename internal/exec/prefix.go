@@ -55,7 +55,7 @@ func (m *Materialize) Open(ws *Workspace) (Iterator, error) {
 	if !ok {
 		var err error
 		compute := func() ([]*bundle.Tuple, error) {
-			return ws.drainNode(m.Child, ws.det)
+			return ws.drainNode(m.Child, ws.keep)
 		}
 		if ws.Prefix != nil && m.Fingerprint != "" {
 			out, err = ws.Prefix.Do(m.Fingerprint, compute)

@@ -2,7 +2,7 @@
 // paper's evaluation (see DESIGN.md §2 for the experiment index):
 //
 //	E1 — Appendix D timing: MCDB-R tail sampling vs naive MCDB on the
-//	     TPC-H-like join query (per-iteration times, replenishment, speedup).
+//	     TPC-H-like join query (per-iteration times, speedup).
 //	E2 — Figure 5: empirical tail CDFs vs the analytic conditional CDF on
 //	     the skewed-join workload; quantile-estimate bias and SE.
 //	E3 — §1 motivation: naive Monte Carlo cost in the tail.
@@ -92,14 +92,13 @@ func TPCHAnalyticMoments(e *mcdbr.Engine) (mu, sigma float64) {
 
 // E1Result holds the Appendix D timing comparison.
 type E1Result struct {
-	ScaleDiv       int
-	P              float64
-	L              int
-	IterSeconds    []float64
-	Replenishments int
-	TailSeconds    float64
-	Quantile       float64
-	AnalyticQ      float64
+	ScaleDiv    int
+	P           float64
+	L           int
+	IterSeconds []float64
+	TailSeconds float64
+	Quantile    float64
+	AnalyticQ   float64
 
 	NaiveReps       int     // repetitions actually measured
 	NaiveSeconds    float64 // time for those repetitions
@@ -131,7 +130,6 @@ func RunE1(scaleDiv int, seed uint64, opts ...mcdbr.Option) (*E1Result, error) {
 	}
 	res.TailSeconds = time.Since(start).Seconds()
 	res.Quantile = tr.QuantileEstimate
-	res.Replenishments = tr.Diag.Replenishments
 	for _, it := range tr.Diag.Iters {
 		res.IterSeconds = append(res.IterSeconds, it.Duration.Seconds())
 	}
@@ -166,7 +164,7 @@ func (r *E1Result) Print(w io.Writer) {
 	for i, s := range r.IterSeconds {
 		fmt.Fprintf(w, " it%d=%.2f", i+1, s)
 	}
-	fmt.Fprintf(w, "  (replenishing runs: %d)\n", r.Replenishments)
+	fmt.Fprintln(w)
 	fmt.Fprintf(w, "  MCDB-R total: %.2fs, quantile estimate %.4g (analytic %.4g, rel.err %.3f%%)\n",
 		r.TailSeconds, r.Quantile, r.AnalyticQ, 100*math.Abs(r.Quantile-r.AnalyticQ)/r.AnalyticQ)
 	fmt.Fprintf(w, "  naive MCDB: %d reps in %.2fs -> %.0f reps needed -> %.0fs extrapolated\n",

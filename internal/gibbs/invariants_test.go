@@ -57,7 +57,8 @@ func TestDeltaAggregateEqualsRecompute(t *testing.T) {
 }
 
 // TestMaxUsedMonotone checks TS-seed bookkeeping: MaxUsed only advances,
-// and every final assignment is a materialized, already-consumed position.
+// and every final assignment is an already-consumed position whose row —
+// from the window or, beyond it, the per-version cache — is the stream's.
 func TestMaxUsedMonotone(t *testing.T) {
 	cat := lossCatalog([]float64{3, 4, 5})
 	ws := exec.NewWorkspace(cat, prng.NewStream(55), 256)
@@ -73,8 +74,13 @@ func TestMaxUsedMonotone(t *testing.T) {
 			if pos > s.MaxUsed {
 				t.Fatalf("seed %d version %d assigned %d beyond MaxUsed %d", id, v, pos, s.MaxUsed)
 			}
-			if !s.Window.Contains(pos) {
-				t.Fatalf("seed %d version %d assigned unmaterialized position %d", id, v, pos)
+			row, ok := s.Row(v)
+			want, err := s.ValueAt(pos)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok || !row[0].Equal(want[0]) {
+				t.Fatalf("seed %d version %d: position %d reads row %v (ok=%v), stream holds %v", id, v, pos, row, ok, want)
 			}
 		}
 	}
@@ -193,9 +199,9 @@ func twoSeedPlan(t testing.TB, ws *exec.Workspace) exec.Node {
 
 // TestSeedIndex checks the looper's seed-to-tuple index: handles strictly
 // ascend, each handle's tuples strictly ascend, the (handle, tuple) pairs
-// are exactly the tuples' SeedIDs, and a replenishing run rebuilds the
-// same index. The two-seed plan selects on b, so its tuples read seed b
-// through both a random reference and a presence vector.
+// are exactly the tuples' SeedIDs. The two-seed plan selects on b, so its
+// tuples read seed b through both a random reference and a presence
+// vector.
 func TestSeedIndex(t *testing.T) {
 	means := []float64{4, 5, 6}
 	for _, tc := range []struct {
@@ -245,12 +251,6 @@ func TestSeedIndex(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("index pairs %v, want %v", got, want)
-			}
-			if err := lp.loadTuples(true); err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(lp.seeds, ix) {
-				t.Fatalf("replenishing run rebuilt %+v, want %+v", lp.seeds, ix)
 			}
 		})
 	}

@@ -9,13 +9,18 @@
 // updates every DB version via rejection sampling against the current
 // cutoff, amortizing data scans. The paper merges a disk-based priority
 // queue of Gibbs tuples with the sorted seed store; the looper holds its
-// Gibbs tuples in memory, so it walks a seed-to-tuple index built once per
-// plan run instead, which visits seeds and tuples in the same order.
+// Gibbs tuples in memory, so it walks a seed-to-tuple index built once
+// instead, which visits seeds and tuples in the same order.
+//
+// The plan runs exactly once per sampling run. Where the paper re-runs it
+// to replenish exhausted windows (§9), the looper draws each rejection
+// candidate beyond the window from the seed's prepared sampler, caches the
+// VG output rows of assigned positions beyond it, and answers presence
+// through each presence vector's lineage.
 package gibbs
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -75,8 +80,8 @@ type Config struct {
 	// Parallelism is the number of worker goroutines the batch
 	// state recomputation may use; values <= 1 run it inline. Results are
 	// bit-for-bit identical for every value: versions are partitioned
-	// across workers, each version's aggregate is accumulated in plan
-	// order, and replenishing runs happen between rounds, never inside one.
+	// across workers and each version's aggregate is accumulated in plan
+	// order.
 	Parallelism int
 }
 
@@ -116,7 +121,8 @@ type IterStats struct {
 	// Candidates counts rejection-sampling proposals; Accepts successful
 	// updates; GiveUps updates abandoned at MaxTriesPerUpdate.
 	Candidates, Accepts, GiveUps int64
-	// Replenishments counts §9 query-plan re-runs during the step.
+	// Replenishments is always 0: the looper no longer re-runs the plan
+	// (§9). The field is removed with the next benchmark change.
 	Replenishments int
 }
 
@@ -131,13 +137,12 @@ type Result struct {
 	Cutoffs []float64
 	// Iters holds per-step statistics.
 	Iters []IterStats
-	// Replenishments is the total number of query-plan re-runs.
+	// Replenishments is always 0; see IterStats.Replenishments.
 	Replenishments int
 }
 
 // Run executes tail sampling for the plan in the workspace. The plan must
-// already include Seed and Instantiate operators; Run executes it (and
-// re-executes it on replenishment).
+// already include Seed and Instantiate operators; Run executes it once.
 func Run(ws *exec.Workspace, plan exec.Node, q Query, cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -160,7 +165,6 @@ type looper struct {
 
 	rand       []*bundle.Tuple // retained tuples with random lineage, in plan order
 	seeds      seedIndex       // TS-seed handle -> rand tuples reading it
-	nTotal     int             // total plan-output tuples (after group restriction)
 	base       exec.AggState   // contribution of purely deterministic tuples
 	states     []exec.AggState // per-version aggregate state
 	aggExpr    *expr.Compiled
@@ -169,9 +173,9 @@ type looper struct {
 	groupSlots []int            // schema slots the grouping expressions read
 	keyBuf     types.Row
 	buf        types.Row
-	sign       float64 // -1 for lower-tail queries
-	totalRepl  int
-	stats      *IterStats // current step's counters
+	cand       []types.Value // rejection candidate's VG output row, drawn beyond the window
+	sign       float64       // -1 for lower-tail queries
+	stats      *IterStats    // current step's counters
 }
 
 func (lp *looper) init() error {
@@ -215,35 +219,36 @@ func (lp *looper) init() error {
 		lp.sign = -1
 	}
 	lp.buf = make(types.Row, schema.Len())
-	if err := lp.loadTuples(false); err != nil {
+	if err := lp.loadTuples(); err != nil {
 		return err
 	}
 	// A sharded workspace materializes [Base, Base+Window); start the
 	// version->position mapping at the same offset so version v of this
-	// shard is exactly replicate Base+v of the sequential run.
+	// shard is exactly replicate Base+v of the sequential run. Versions
+	// beyond the window (MonteCarlo may ask for more than it holds) draw
+	// their rows now.
 	lp.ws.Seeds.InitAssignAt(lp.ws.Base, lp.cfg.N)
+	for _, id := range lp.seeds.handles {
+		if err := lp.ws.Seeds.MustGet(id).FillRows(); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
-// loadTuples (re-)streams the query plan through the batch pipeline,
-// restricts the stream to the looper's group (when the query is a
-// per-group conditioned run), and classifies it on the way past: purely
+// loadTuples streams the query plan through the batch pipeline, restricts
+// the stream to the looper's group (when the query is a per-group
+// conditioned run), and classifies it on the way past: purely
 // deterministic tuples fold into the base aggregate state immediately and
 // are dropped, tuples with random lineage are retained (the only part of
 // the plan output the looper holds for the whole sampling run).
-func (lp *looper) loadTuples(replenishing bool) error {
-	if replenishing {
-		lp.ws.BeginReplenish()
-	}
+func (lp *looper) loadTuples() error {
 	it, err := lp.plan.Open(lp.ws)
 	if err != nil {
 		return err
 	}
 	defer it.Close()
 	schema := lp.plan.Schema()
-	rand := lp.rand[:0]
-	lp.base = exec.AggState{}
-	total := 0
 	for {
 		b, err := it.Next()
 		if err != nil {
@@ -275,9 +280,8 @@ func (lp *looper) loadTuples(replenishing bool) error {
 					continue
 				}
 			}
-			total++
 			if tu.IsRandom() {
-				rand = append(rand, lp.ws.Retain(tu))
+				lp.rand = append(lp.rand, lp.ws.Retain(tu))
 				continue
 			}
 			s, c, err := lp.contribRow(tu.Det)
@@ -287,15 +291,9 @@ func (lp *looper) loadTuples(replenishing bool) error {
 			lp.base.Add(s, c)
 		}
 	}
-	if replenishing && total != lp.nTotal {
-		return fmt.Errorf("gibbs: replenishing run produced %d tuples, previously %d; plan is not deterministic", total, lp.nTotal)
-	}
-	lp.nTotal = total
-	lp.rand = rand
-	// Index the retained tuples by the seeds they read once per plan run;
-	// every Gibbs pass walks this index. A replenishing run rebuilds it
-	// from the same deterministic plan, so it comes out identical.
-	lp.seeds = buildSeedIndex(rand)
+	// Index the retained tuples by the seeds they read once; every Gibbs
+	// pass walks this index.
+	lp.seeds = buildSeedIndex(lp.rand)
 	return nil
 }
 
@@ -364,56 +362,42 @@ func (lp *looper) contribRow(row types.Row) (float64, int64, error) {
 }
 
 // recomputeStates rebuilds every version's aggregate state from scratch.
-// Version states are independent given the materialized windows, so the
-// versions are split into contiguous shards across cfg.Parallelism
+// Version states are independent given the seeds' windows and cached rows,
+// so the versions are split into contiguous shards across cfg.Parallelism
 // workers, each with a private scratch row; a single shard runs inline.
 // Every version accumulates its tuples in plan order, so states are
-// bit-for-bit identical for every worker count. When any version needs a
-// stream value outside the materialized windows, one replenishing run
-// executes and the whole batch retries: replenishment keeps every
-// assigned position, so the retry needs no further run.
+// bit-for-bit identical for every worker count.
 func (lp *looper) recomputeStates(nVersions int) error {
 	shards := exec.Shards(nVersions, lp.cfg.Parallelism)
-	for {
-		states := make([]exec.AggState, nVersions)
-		errs := make([]error, len(shards))
-		if len(shards) == 1 {
-			errs[0] = lp.recomputeShard(states, 0, nVersions, lp.buf)
-		} else {
-			var wg sync.WaitGroup
-			for i, sh := range shards {
-				wg.Add(1)
-				go func(i, lo, hi int) {
-					defer wg.Done()
-					// Contain worker panics (a panic here would be fatal to the
-					// process even if the caller installed a recover).
-					defer func() {
-						if r := recover(); r != nil {
-							errs[i] = fmt.Errorf("gibbs: recompute worker panicked: %v", r)
-						}
-					}()
-					errs[i] = lp.recomputeShard(states, lo, hi, make(types.Row, len(lp.buf)))
-				}(i, sh[0], sh[1])
-			}
-			wg.Wait()
+	states := make([]exec.AggState, nVersions)
+	errs := make([]error, len(shards))
+	if len(shards) == 1 {
+		errs[0] = lp.recomputeShard(states, 0, nVersions, lp.buf)
+	} else {
+		var wg sync.WaitGroup
+		for i, sh := range shards {
+			wg.Add(1)
+			go func(i, lo, hi int) {
+				defer wg.Done()
+				// Contain worker panics (a panic here would be fatal to the
+				// process even if the caller installed a recover).
+				defer func() {
+					if r := recover(); r != nil {
+						errs[i] = fmt.Errorf("gibbs: recompute worker panicked: %v", r)
+					}
+				}()
+				errs[i] = lp.recomputeShard(states, lo, hi, make(types.Row, len(lp.buf)))
+			}(i, sh[0], sh[1])
 		}
-		needRepl := false
-		for _, err := range errs {
-			var nm *bundle.ErrNotMaterialized
-			if errors.As(err, &nm) {
-				needRepl = true
-			} else if err != nil {
-				return err
-			}
-		}
-		if !needRepl {
-			lp.states = states
-			return nil
-		}
-		if err := lp.replenish(); err != nil {
+		wg.Wait()
+	}
+	for _, err := range errs {
+		if err != nil {
 			return err
 		}
 	}
+	lp.states = states
+	return nil
 }
 
 // recomputeShard fills states[lo:hi]. It only reads shared looper state.
@@ -435,14 +419,6 @@ func (lp *looper) recomputeShard(states []exec.AggState, lo, hi int, buf types.R
 		states[v] = st
 	}
 	return nil
-}
-
-func (lp *looper) replenish() error {
-	lp.totalRepl++
-	if lp.stats != nil {
-		lp.stats.Replenishments++
-	}
-	return lp.loadTuples(true)
 }
 
 func (lp *looper) run() (*Result, error) {
@@ -513,7 +489,6 @@ func (lp *looper) run() (*Result, error) {
 	for v, st := range lp.states {
 		res.TailSamples[v] = lp.sign * st.Value(lp.q.Agg.Kind)
 	}
-	res.Replenishments = lp.totalRepl
 	return res, nil
 }
 
@@ -541,9 +516,7 @@ func (lp *looper) eliteVersions(e int) []int {
 
 // pass performs one systematic Gibbs updating step: every TS-seed in
 // increasing handle order, every DB version, rejection sampling against
-// cutoff (paper §7 and Appendix A.2). A replenishing run in the middle of
-// the pass rebuilds lp.seeds identically, so the pass keeps walking the
-// index it started with.
+// cutoff (paper §7 and Appendix A.2).
 func (lp *looper) pass(cutoff float64) error {
 	ix := lp.seeds
 	//mcdbr:hotpath
@@ -564,7 +537,9 @@ func (lp *looper) pass(cutoff float64) error {
 // updateSeedVersion performs the rejection algorithm (paper Algorithm 2 /
 // Fig. 1) for one TS-seed and one DB version: propose the next unused
 // stream value, accept when the updated query result still meets the
-// cutoff.
+// cutoff. A candidate inside the window reads the window's row; one
+// beyond it is drawn once, into scratch, and an accepted one is cached
+// with its assignment.
 func (lp *looper) updateSeedVersion(seedID uint64, tuples []int, v int, cutoff float64) error {
 	seed := lp.ws.Seeds.MustGet(seedID)
 	cur := bundle.Bind(lp.ws.Seeds, v)
@@ -574,25 +549,22 @@ func (lp *looper) updateSeedVersion(seedID uint64, tuples []int, v int, cutoff f
 	}
 	for tries := 0; tries < lp.cfg.MaxTriesPerUpdate; tries++ {
 		pos := seed.MaxUsed + 1
-		if !seed.Window.Contains(pos) {
-			if err := lp.replenish(); err != nil {
-				return err
+		row, ok := seed.Window.Get(pos)
+		if !ok {
+			n := seed.NumOut()
+			if cap(lp.cand) < n {
+				lp.cand = make([]types.Value, n)
 			}
-			// Windows changed; current-assignment contributions must be
-			// recomputed against the rebuilt presence vectors.
-			oldS, oldC, err = lp.affectedContrib(tuples, cur)
-			if err != nil {
+			row = lp.cand[:n]
+			if err := seed.Sample(pos, row); err != nil {
 				return err
-			}
-			if !seed.Window.Contains(pos) {
-				return fmt.Errorf("gibbs: replenishment did not cover seed %d position %d", seedID, pos)
 			}
 		}
 		if lp.stats != nil {
 			lp.stats.Candidates++
 		}
 		seed.MaxUsed = pos // consumed whether accepted or not (paper §6 item 4)
-		newS, newC, err := lp.affectedContrib(tuples, cur.WithOverride(seedID, pos))
+		newS, newC, err := lp.affectedContrib(tuples, cur.WithOverride(seedID, pos, row))
 		if err != nil {
 			return err
 		}
@@ -600,7 +572,7 @@ func (lp *looper) updateSeedVersion(seedID uint64, tuples []int, v int, cutoff f
 		st.Sum += newS - oldS
 		st.Count += newC - oldC
 		if st.Value(lp.q.Agg.Kind) >= cutoff {
-			seed.Assign[v] = pos
+			seed.SetAssign(v, pos, row)
 			lp.states[v] = st
 			if lp.stats != nil {
 				lp.stats.Accepts++
@@ -625,13 +597,6 @@ func (lp *looper) affectedContrib(tuples []int, b bundle.Binding) (float64, int6
 	for _, t := range tuples {
 		ds, dc, err := lp.contrib(lp.rand[t], b, lp.buf)
 		if err != nil {
-			var nm *bundle.ErrNotMaterialized
-			if errors.As(err, &nm) {
-				// A *current* assignment fell outside the window: possible
-				// only through bugs, since replenishment preserves assigned
-				// positions. Surface loudly.
-				return 0, 0, fmt.Errorf("gibbs: assigned position missing: %w", err)
-			}
 			return 0, 0, err
 		}
 		s += ds

@@ -2,6 +2,7 @@ package gibbs
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/exec"
@@ -262,22 +263,34 @@ func TestLowerTail(t *testing.T) {
 	}
 }
 
-func TestReplenishmentTriggersAndPreservesCorrectness(t *testing.T) {
-	// A tiny window forces repeated §9 replenishing runs.
-	meansVals := []float64{3, 4, 5}
-	cat := lossCatalog(meansVals)
-	ws := exec.NewWorkspace(cat, prng.NewStream(8), 16)
-	plan := lossPlan(t, ws, 1)
-	res, err := Run(ws, plan, sumQuery(), Config{N: 16, M: 4, P: 0.01, L: 8})
-	if err != nil {
-		t.Fatal(err)
+// TestBeyondWindowPreservesCorrectness: a window of 16 sends the looper
+// far past the materialized stream values, and the result is the one a
+// window of 4096 gives, bit for bit, counters included.
+func TestBeyondWindowPreservesCorrectness(t *testing.T) {
+	run := func(window int) *Result {
+		t.Helper()
+		ws := exec.NewWorkspace(lossCatalog([]float64{3, 4, 5}), prng.NewStream(8), window)
+		res, err := Run(ws, lossPlan(t, ws, 1), sumQuery(), Config{N: 16, M: 4, P: 0.01, L: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	if res.Replenishments == 0 {
-		t.Fatal("expected replenishing runs with window=16")
+	res, wide := run(16), run(4096)
+	var candidates int64
+	for i := range res.Iters {
+		res.Iters[i].Duration, wide.Iters[i].Duration = 0, 0
+		candidates += res.Iters[i].Candidates
+	}
+	if candidates <= 16 {
+		t.Fatalf("%d candidates never leave a window of 16", candidates)
+	}
+	if !reflect.DeepEqual(res, wide) {
+		t.Fatalf("window 16 gives %+v, window 4096 gives %+v", res, wide)
 	}
 	for _, s := range res.TailSamples {
 		if s < res.Quantile {
-			t.Fatalf("sample %g below cutoff %g after replenishment", s, res.Quantile)
+			t.Fatalf("sample %g below cutoff %g beyond the window", s, res.Quantile)
 		}
 	}
 	// Sanity: quantile in a plausible band for N(12, sqrt(3)).

@@ -133,35 +133,28 @@ func TestRunParallelismDeterminism(t *testing.T) {
 	}
 }
 
-// TestRecomputeStatesReplenishSharded drives the batch recomputation past
-// the materialized window: the round that meets an unmaterialized position
-// replenishes once and retries the whole batch, and every shard layout
-// yields the inline run's states bit for bit, after as many replenishments.
-func TestRecomputeStatesReplenishSharded(t *testing.T) {
+// TestRecomputeStatesBeyondWindowSharded drives the batch recomputation
+// past the materialized window: versions whose positions lie beyond it
+// read rows drawn on demand, and every shard layout and window size yields
+// the same states bit for bit.
+func TestRecomputeStatesBeyondWindowSharded(t *testing.T) {
 	const n = 300
-	run := func(parallelism int) ([]exec.AggState, int) {
+	run := func(window, parallelism int) []exec.AggState {
 		t.Helper()
-		ws := exec.NewWorkspace(lossCatalog([]float64{3, 4, 5}), prng.NewStream(13), 64)
+		ws := exec.NewWorkspace(lossCatalog([]float64{3, 4, 5}), prng.NewStream(13), window)
 		lp := &looper{ws: ws, plan: selectivePlan(t, ws, 1), q: sumQuery(), cfg: Config{N: n, Parallelism: parallelism}}
 		if err := lp.init(); err != nil {
 			t.Fatal(err)
 		}
 		if err := lp.recomputeStates(n); err != nil {
-			t.Fatalf("parallelism=%d: %v", parallelism, err)
+			t.Fatalf("window=%d parallelism=%d: %v", window, parallelism, err)
 		}
-		return lp.states, lp.totalRepl
+		return lp.states
 	}
-	want, wantRepl := run(1)
-	if wantRepl == 0 {
-		t.Fatal("a window of 64 for 300 versions should replenish")
-	}
-	for _, parallelism := range []int{2, 3, 7} {
-		got, repl := run(parallelism)
-		if repl != wantRepl {
-			t.Errorf("parallelism=%d: %d replenishments, want %d", parallelism, repl, wantRepl)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("parallelism=%d: states differ from the inline run", parallelism)
+	want := run(512, 1)
+	for _, parallelism := range []int{1, 2, 3, 7} {
+		if got := run(64, parallelism); !reflect.DeepEqual(got, want) {
+			t.Errorf("window=64 parallelism=%d: states differ from the window-512 inline run", parallelism)
 		}
 	}
 }

@@ -7,16 +7,16 @@
 //   - append: carved slices are capacity-limited, so an append cannot
 //     clobber a neighbour — instead it silently reallocates on the
 //     heap, escaping the arena, double-counting the memory budget, and
-//     defeating BeginReplenish recycling. Operators must carve the
-//     final width up front (Slab.Row(n)) and index into it.
+//     defeating slab recycling. Operators must carve the final width
+//     up front (Slab.Row(n)) and index into it.
 //
-//   - storing a carved value in something that outlives the arena: the
-//     recyclable slab is zeroed wholesale by Workspace.BeginReplenish
-//     and Slab.Reset, so a carved slice stashed in a package-level
-//     variable dangles — it will be observed as NULLs (or worse,
-//     recycled rows) on the next replenishing run. Retention across
-//     batches goes through ws.Retain; retention across runs through
-//     the pinned slab and the prefix cache.
+//   - storing a carved value in something that outlives the arena: an
+//     operator's slab is zeroed wholesale by Slab.Reset at every batch
+//     and whenever it returns to the pool, so a carved slice stashed in
+//     a package-level variable dangles — it will be observed as NULLs
+//     (or worse, recycled rows) by the next batch or query. Retention
+//     across batches goes through ws.Retain; retention across runs
+//     through the prefix cache.
 //
 // The analysis is an intra-function taint walk: values returned by
 // *bundle.Slab carving methods (and locals assigned from them, or
@@ -43,7 +43,7 @@ var carvers = map[string]bool{"Row": true, "RandRefs": true}
 
 var Analyzer = &analysis.Analyzer{
 	Name:      "slabsafe",
-	Doc:       "flag append on slab-carved slices and slab values stored past BeginReplenish/Reset",
+	Doc:       "flag append on slab-carved slices and slab values stored past Slab.Reset",
 	Directive: "slabsafe",
 	Run:       run,
 }
@@ -159,7 +159,7 @@ func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 					continue
 				}
 				if obj := rootObj(pass, lhs); obj != nil && isPackageLevel(pass, obj) {
-					pass.Reportf(x.Pos(), "slab-carved value stored in package-level %q outlives Workspace.BeginReplenish/Slab.Reset and will dangle into recycled chunks; retain via ws.Retain or copy (DESIGN.md §6)", obj.Name())
+					pass.Reportf(x.Pos(), "slab-carved value stored in package-level %q outlives Slab.Reset and will dangle into recycled chunks; retain via ws.Retain or copy (DESIGN.md §6)", obj.Name())
 				}
 			}
 		}

@@ -35,7 +35,7 @@ func appendViaReslice(s *bundle.Slab) types.Row {
 	return append(head, v) // want `append to a slab-carved slice`
 }
 
-// A carved value in a package-level variable outlives BeginReplenish.
+// A carved value in a package-level variable outlives Slab.Reset.
 func storeGlobalRow(s *bundle.Slab) {
 	leakedRow = s.Row(3) // want `slab-carved value stored in package-level "leakedRow"`
 }

@@ -92,8 +92,7 @@ func TestMonteCarloRepetitionsAreIndependentStreams(t *testing.T) {
 }
 
 func TestMonteCarloWindowSmallerThanN(t *testing.T) {
-	// The engine must transparently replenish when the window cannot cover
-	// all repetitions up front.
+	// Repetitions beyond the window draw their stream values on demand.
 	ws, plan := lossSetup(t, 3, []float64{3}, 64)
 	samples, err := MonteCarlo(ws, plan, sumQ(), 300)
 	if err != nil {

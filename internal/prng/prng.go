@@ -3,8 +3,8 @@
 //
 // MCDB-R requires random access into a stream of random data: the Gibbs
 // rejection sampler consumes stream elements out of order, cloning copies
-// stream positions between DB versions, and replenishment (paper §9) must
-// regenerate exactly the values already assigned. Sequential generators
+// stream positions between DB versions, and positions beyond a seed's
+// materialized window are drawn on demand long after it was filled. Sequential generators
 // cannot do this cheaply, so element i of stream s is a pure function of
 // (s, i): we derive an independent SplitMix64-seeded substream for each
 // element, and samplers that need a variable number of uniforms (gamma

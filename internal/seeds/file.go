@@ -7,7 +7,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"slices"
 
 	"repro/internal/prng"
 	"repro/internal/types"
@@ -18,7 +17,10 @@ import (
 // TS-seeds in a file sorted on handle (App. A input 5); we persist the
 // regeneration recipe (VG name, parameters, window extent, assignments)
 // rather than the window values themselves, since every stream element is a
-// pure function of (seed, position) and can be rematerialized on load.
+// pure function of (seed, position) and can be rematerialized on load. The
+// format predates on-demand draws: its list of sparse window positions is
+// written empty and skipped on load, where the rows of assigned positions
+// outside the window are redrawn from the assignments.
 
 const fileMagic = uint32(0x4d434452) // "MCDR"
 
@@ -29,14 +31,16 @@ func (st *Store) Save(w io.Writer) error {
 	if err := write(fileMagic); err != nil {
 		return err
 	}
-	if err := write(uint64(len(st.order))); err != nil {
+	n := uint64(len(st.byID))
+	// The handle count is written twice: once as the seed count and once
+	// as the allocator's next handle, which dense handles make equal.
+	if err := write(n); err != nil {
 		return err
 	}
-	if err := write(st.next); err != nil {
+	if err := write(n); err != nil {
 		return err
 	}
-	for _, id := range st.order {
-		s := st.byID[id]
+	for _, s := range st.byID {
 		if err := write(s.ID); err != nil {
 			return err
 		}
@@ -57,20 +61,10 @@ func (st *Store) Save(w io.Writer) error {
 		if err := write(uint64(len(s.Window.Vals))); err != nil {
 			return err
 		}
-		sparse := make([]uint64, 0, len(s.Window.Sparse))
-		for p := range s.Window.Sparse {
-			sparse = append(sparse, p)
-		}
-		// Canonical byte stream: map order would write the same state
-		// differently on every save.
-		slices.Sort(sparse)
-		if err := write(uint64(len(sparse))); err != nil {
+		// The empty sparse list: Load redraws the rows of assigned
+		// positions outside the window from Assign.
+		if err := write(uint64(0)); err != nil {
 			return err
-		}
-		for _, p := range sparse {
-			if err := write(p); err != nil {
-				return err
-			}
 		}
 		if err := write(s.MaxUsed); err != nil {
 			return err
@@ -107,18 +101,18 @@ func Load(r io.Reader, reg *vg.Registry, master prng.Stream) (*Store, error) {
 	if err := read(&next); err != nil {
 		return nil, err
 	}
+	if next != n {
+		return nil, fmt.Errorf("seeds: file holds %d seeds but allocated %d handles; handles must be dense", n, next)
+	}
 	st := NewStore()
-	st.next = next
-	var prevID uint64
 	for i := uint64(0); i < n; i++ {
 		s := &TSSeed{}
 		if err := read(&s.ID); err != nil {
 			return nil, err
 		}
-		if i > 0 && s.ID <= prevID {
-			return nil, fmt.Errorf("seeds: file not sorted by handle (%d after %d)", s.ID, prevID)
+		if s.ID != i {
+			return nil, fmt.Errorf("seeds: seed %d has handle %d; handles must be dense and sorted", i, s.ID)
 		}
-		prevID = s.ID
 		name, err := readString(br)
 		if err != nil {
 			return nil, err
@@ -151,9 +145,10 @@ func Load(r io.Reader, reg *vg.Registry, master prng.Stream) (*Store, error) {
 		if err := read(&nsparse); err != nil {
 			return nil, err
 		}
-		sparse := make([]uint64, nsparse)
-		for j := range sparse {
-			if err := read(&sparse[j]); err != nil {
+		// The sparse list is implied by Assign; skip it.
+		for j := uint64(0); j < nsparse; j++ {
+			var p uint64
+			if err := read(&p); err != nil {
 				return nil, err
 			}
 		}
@@ -170,11 +165,13 @@ func Load(r io.Reader, reg *vg.Registry, master prng.Stream) (*Store, error) {
 				return nil, err
 			}
 		}
-		if err := s.Materialize(lo, int(count), sparse); err != nil {
+		if err := s.Materialize(lo, int(count), nil); err != nil {
 			return nil, err
 		}
-		st.byID[s.ID] = s
-		st.order = append(st.order, s.ID)
+		if err := s.FillRows(); err != nil {
+			return nil, err
+		}
+		st.byID = append(st.byID, s)
 	}
 	return st, nil
 }

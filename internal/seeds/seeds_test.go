@@ -48,16 +48,12 @@ func TestAllocAssignsSequentialHandles(t *testing.T) {
 }
 
 func TestWindowGet(t *testing.T) {
-	w := Window{Lo: 10, Vals: [][]types.Value{{types.NewFloat(1)}, {types.NewFloat(2)}},
-		Sparse: map[uint64][]types.Value{3: {types.NewFloat(9)}}}
+	w := Window{Lo: 10, Vals: [][]types.Value{{types.NewFloat(1)}, {types.NewFloat(2)}}}
 	if v, ok := w.Get(10); !ok || v[0].Float() != 1 {
 		t.Fatal("Get(10) failed")
 	}
 	if v, ok := w.Get(11); !ok || v[0].Float() != 2 {
 		t.Fatal("Get(11) failed")
-	}
-	if v, ok := w.Get(3); !ok || v[0].Float() != 9 {
-		t.Fatal("Get sparse failed")
 	}
 	if _, ok := w.Get(12); ok {
 		t.Fatal("Get(12) should miss")
@@ -65,15 +61,8 @@ func TestWindowGet(t *testing.T) {
 	if _, ok := w.Get(5); ok {
 		t.Fatal("Get(5) should miss")
 	}
-	if w.End() != 12 {
-		t.Fatalf("End = %d", w.End())
-	}
-	pos := w.Positions()
-	want := []uint64{3, 10, 11}
-	for i := range want {
-		if pos[i] != want[i] {
-			t.Fatalf("Positions = %v", pos)
-		}
+	if w.End() != 12 || !w.Contains(11) || w.Contains(12) || w.Contains(9) {
+		t.Fatalf("End = %d, Contains(9/11/12) = %v/%v/%v", w.End(), w.Contains(9), w.Contains(11), w.Contains(12))
 	}
 }
 
@@ -92,23 +81,100 @@ func TestMaterializeMatchesValueAt(t *testing.T) {
 	}
 }
 
-func TestMaterializeSparseKeepsAssigned(t *testing.T) {
+func TestMaterializeRejectsSparse(t *testing.T) {
 	st, _ := newTestStore(t, 1, 4)
 	s := st.MustGet(0)
-	old2, _ := s.Window.Get(2)
-	// Replenish: fresh range [16,24), keep assigned positions 0..3.
-	if err := s.Materialize(16, 8, []uint64{0, 1, 2, 3}); err != nil {
+	if err := s.Materialize(16, 8, []uint64{0, 1}); err == nil {
+		t.Fatal("a sparse position list must be rejected")
+	}
+	if s.Window.Lo != 0 || len(s.Window.Vals) != 16 {
+		t.Fatalf("rejected call changed the window: lo %d len %d", s.Window.Lo, len(s.Window.Vals))
+	}
+}
+
+// TestSampleMatchesValueAt: on-demand draws, inside and far beyond the
+// window, are bit-identical to the unprepared Generate path, for every
+// built-in VG shape (one and several outputs).
+func TestSampleMatchesValueAt(t *testing.T) {
+	reg := vg.NewRegistry()
+	master := prng.NewStream(5)
+	st := NewStore()
+	normal, _ := reg.Lookup("Normal")
+	mn, _ := reg.Lookup("MultiNormal2")
+	for _, s := range []*TSSeed{
+		st.Alloc(master, normal, []types.Value{types.NewFloat(3), types.NewFloat(2)}),
+		st.Alloc(master, mn, []types.Value{types.NewFloat(1), types.NewFloat(2), types.NewFloat(1), types.NewFloat(3), types.NewFloat(0.5)}),
+	} {
+		if err := s.Materialize(0, 8, nil); err != nil {
+			t.Fatal(err)
+		}
+		dst := make([]types.Value, len(s.Gen.OutKinds()))
+		for _, pos := range []uint64{0, 7, 8, 1000, 1 << 40} {
+			want, err := s.ValueAt(pos)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Sample(pos, dst); err != nil {
+				t.Fatal(err)
+			}
+			for k := range want {
+				if !dst[k].Equal(want[k]) {
+					t.Fatalf("seed %d pos %d out %d: Sample %v, ValueAt %v", s.ID, pos, k, dst[k], want[k])
+				}
+			}
+		}
+		if got := testing.AllocsPerRun(100, func() { _ = s.Sample(1234, dst) }); got != 0 {
+			t.Fatalf("seed %d: Sample allocates %v times per draw", s.ID, got)
+		}
+	}
+}
+
+// TestRowCacheBeyondWindow: a position assigned outside the window keeps
+// its row in the per-version cache, cloning carries the cache with the
+// assignments, InitAssign drops it, and FillRows redraws it.
+func TestRowCacheBeyondWindow(t *testing.T) {
+	st, _ := newTestStore(t, 1, 3)
+	s := st.MustGet(0)
+	if s.Rows != nil {
+		t.Fatal("the row cache must stay nil while every assignment is in the window")
+	}
+	far, _ := s.ValueAt(40)
+	scratch := []types.Value{far[0]}
+	s.SetAssign(1, 40, scratch)
+	scratch[0] = types.NewFloat(-1) // the cache must hold its own copy
+	s.SetAssign(2, 5, []types.Value{types.NewFloat(-2)})
+	if row, ok := s.Row(1); !ok || !row[0].Equal(far[0]) {
+		t.Fatalf("Row(1) = %v, %v; want %v", row, ok, far)
+	}
+	if row, _ := s.Row(2); !row[0].Equal(s.Window.Vals[5][0]) {
+		t.Fatal("an in-window assignment must read the window")
+	}
+	if err := st.CloneVersions([]int{1, 0}, 4); err != nil {
 		t.Fatal(err)
 	}
-	if s.Window.Lo != 16 || len(s.Window.Vals) != 8 {
-		t.Fatalf("window = lo %d len %d", s.Window.Lo, len(s.Window.Vals))
+	for v, pos := range []uint64{40, 40, 0, 0} {
+		row, ok := s.Row(v)
+		want, _ := s.ValueAt(pos)
+		if s.Assign[v] != pos || !ok || !row[0].Equal(want[0]) {
+			t.Fatalf("clone %d: pos %d row %v, want pos %d row %v", v, s.Assign[v], row, pos, want)
+		}
 	}
-	got, ok := s.Window.Get(2)
-	if !ok || !got[0].Equal(old2[0]) {
-		t.Fatalf("sparse position 2 lost or changed: %v vs %v", got, old2)
+	st.InitAssign(20)
+	if s.Rows != nil {
+		t.Fatal("InitAssign must drop the row cache")
 	}
-	if s.Window.Contains(5) {
-		t.Fatal("unassigned old position 5 must not be rematerialized")
+	if _, ok := s.Row(17); ok {
+		t.Fatal("position 17 is outside the window and not cached yet")
+	}
+	if err := s.FillRows(); err != nil {
+		t.Fatal(err)
+	}
+	for v := 0; v < 20; v++ {
+		row, ok := s.Row(v)
+		want, _ := s.ValueAt(uint64(v))
+		if !ok || !row[0].Equal(want[0]) {
+			t.Fatalf("version %d after FillRows: %v, want %v", v, row, want)
+		}
 	}
 }
 
@@ -228,32 +294,15 @@ func TestCloneVersionsProperty(t *testing.T) {
 	}
 }
 
-func TestResetAllocReusesSeeds(t *testing.T) {
-	st, master := newTestStore(t, 3, 4)
-	reg := vg.NewRegistry()
-	normal, _ := reg.Lookup("Normal")
-	s0 := st.MustGet(0)
-	s0.MaxUsed = 99
-	s0.Assign[2] = 55
-	st.ResetAlloc()
-	again := st.Alloc(master, normal, []types.Value{types.NewFloat(3), types.NewFloat(1)})
-	if again != s0 {
-		t.Fatal("re-allocation must return the existing seed")
-	}
-	if again.MaxUsed != 99 || again.Assign[2] != 55 {
-		t.Fatal("bookkeeping lost on re-allocation")
-	}
-	if st.Len() != 3 {
-		t.Fatalf("Len = %d after re-alloc", st.Len())
-	}
-}
-
 func TestSaveLoadRoundTrip(t *testing.T) {
 	st, master := newTestStore(t, 4, 3)
 	s1 := st.MustGet(1)
 	s1.MaxUsed = 12
 	s1.Assign = []uint64{4, 9, 2}
-	if err := s1.Materialize(13, 5, []uint64{4, 9, 2}); err != nil {
+	if err := s1.Materialize(13, 5, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s1.FillRows(); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -271,12 +320,20 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if b1.MaxUsed != 12 || b1.Assign[1] != 9 {
 		t.Fatalf("bookkeeping lost: %+v", b1)
 	}
-	// Window values must regenerate identically.
-	for _, pos := range []uint64{13, 17, 4, 9, 2} {
+	// Window values and the rows of assigned positions outside the window
+	// must regenerate identically.
+	for _, pos := range []uint64{13, 17} {
 		want, _ := s1.Window.Get(pos)
 		got, ok := b1.Window.Get(pos)
 		if !ok || !got[0].Equal(want[0]) {
 			t.Fatalf("pos %d: %v vs %v", pos, got, want)
+		}
+	}
+	for v := range s1.Assign {
+		want, _ := s1.Row(v)
+		got, ok := b1.Row(v)
+		if !ok || !got[0].Equal(want[0]) {
+			t.Fatalf("version %d: %v vs %v", v, got, want)
 		}
 	}
 	// Streams derived identically: new values also match.
@@ -308,19 +365,20 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestAssignedPositions(t *testing.T) {
-	st, _ := newTestStore(t, 1, 4)
-	s := st.MustGet(0)
-	s.Assign = []uint64{7, 3, 7, 1}
-	got := s.AssignedPositions()
-	want := []uint64{1, 3, 7}
-	if len(got) != 3 {
-		t.Fatalf("AssignedPositions = %v", got)
+// TestLoadRejectsSparseHandles: the store indexes seeds by handle, so a
+// file whose handles skip a value must not load.
+func TestLoadRejectsSparseHandles(t *testing.T) {
+	st, master := newTestStore(t, 2, 2)
+	var buf bytes.Buffer
+	if err := st.Save(&buf); err != nil {
+		t.Fatal(err)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("AssignedPositions = %v, want %v", got, want)
-		}
+	// Header: magic (4 bytes), count and next handle (8 each); the first
+	// seed's handle follows. Renumber seed 0 as 5.
+	b := buf.Bytes()
+	b[20] = 5
+	if _, err := Load(bytes.NewReader(b), vg.NewRegistry(), master); err == nil {
+		t.Fatal("a file with handle 5 in slot 0 must not load")
 	}
 }
 

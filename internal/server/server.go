@@ -235,7 +235,9 @@ type TailSummary struct {
 	P                 float64 `json:"p"`
 	Lower             bool    `json:"lower"`
 	ExpectedShortfall float64 `json:"expected_shortfall"`
-	Replenishments    int     `json:"replenishments"`
+	// Replenishments is always 0: tail sampling no longer re-runs the
+	// plan. The field is removed with the next benchmark change.
+	Replenishments int `json:"replenishments"`
 }
 
 // AggregateCISummary is one (group, aggregate) confidence interval of an

@@ -87,9 +87,12 @@ type Option func(*Engine)
 // bit-for-bit reproducible.
 func WithSeed(seed uint64) Option { return func(e *Engine) { e.seed = seed } }
 
-// WithWindow sets how many stream values each TS-seed materializes per
-// query-plan run (the paper's "1000 random values initially"); larger
-// windows mean fewer replenishing runs but more memory.
+// WithWindow sets how many stream values each TS-seed materializes in the
+// query plan's single run (the paper's "1000 random values initially").
+// Tail sampling never re-runs the plan: it draws positions beyond the
+// window when it proposes them and re-derives their presence from lineage,
+// so the window trades up-front memory against that on-demand work.
+// Results do not depend on it.
 func WithWindow(n int) Option { return func(e *Engine) { e.window = n } }
 
 // WithParallelism sets how many worker goroutines query execution may use:

@@ -16,8 +16,8 @@ import (
 // over every execution knob the vectorized kernels must be invisible to:
 // kernels on/off, worker count, batch size, and prefix cache. (The
 // engine window is not one: plain Monte Carlo sizes its workspace window
-// to the replicate count, so replenishing runs are covered by the
-// internal/gibbs tests, which build their workspaces directly.)
+// to the replicate count; tail results are checked against the window by
+// TestTailWindowIndependence.)
 func kernelEngine(t *testing.T, kernels bool, workers, batch, prefixCache int) *mcdbr.Engine {
 	t.Helper()
 	e := mcdbr.New(mcdbr.WithSeed(1234),

@@ -991,15 +991,12 @@ func BenchmarkStreaming_LargeScan(b *testing.B) {
 	b.ReportMetric(peak, "peak-B")
 }
 
-// kernelGroupedEngine builds the ISSUE 10 vectorized-kernel workload:
-// the grouped loss SUM with the expression kernels switched on or off,
-// sequential execution, and a window large enough that the window-major
-// EvalWindow pass applies (the kernels-off run takes the version-major
-// interpreter loop over the same layout).
-func kernelGroupedEngine(b *testing.B, seed uint64, kernels bool) *mcdbr.Engine {
+// kernelGroupedEngine builds the vectorized-kernel workload: the grouped
+// loss SUM with sequential execution through the window-major EvalWindow
+// pass.
+func kernelGroupedEngine(b *testing.B, seed uint64) *mcdbr.Engine {
 	b.Helper()
-	e := mcdbr.New(mcdbr.WithSeed(seed), mcdbr.WithParallelism(1),
-		mcdbr.WithWindow(4096), mcdbr.WithVectorizedKernels(kernels))
+	e := mcdbr.New(mcdbr.WithSeed(seed), mcdbr.WithParallelism(1), mcdbr.WithWindow(4096))
 	e.RegisterTable(workload.LossMeans(groupedBenchCustomers, 2, 8, 5))
 	if err := e.DefineRandomTable(mcdbr.RandomTable{
 		Name: "losses", ParamTable: "means", VG: "Normal",
@@ -1045,65 +1042,21 @@ func kernelGroupedRun(b *testing.B, e *mcdbr.Engine) *mcdbr.GroupedDistribution 
 	return gd
 }
 
-// BenchmarkKernel_GroupedMC_Interp is the interpreter baseline: the
-// grouped Monte Carlo inner loop with kernels disabled (version-major
-// interpreter evaluation of the same layout).
-func BenchmarkKernel_GroupedMC_Interp(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		kernelGroupedRun(b, kernelGroupedEngine(b, uint64(i), false))
-	}
-}
-
-// BenchmarkKernel_GroupedMC_Vec is the same workload through the
-// window-major kernel pass (ISSUE 10 headline measurement).
+// BenchmarkKernel_GroupedMC_Vec measures the grouped kernel workload end
+// to end, plan run included.
 func BenchmarkKernel_GroupedMC_Vec(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		kernelGroupedRun(b, kernelGroupedEngine(b, uint64(i), true))
+		kernelGroupedRun(b, kernelGroupedEngine(b, uint64(i)))
 	}
 }
 
-// BenchmarkKernel_GroupedMC_Speedup times the interpreter and kernel
-// paths back to back, reports their wall-clock ratio as the "speedup"
-// metric (ISSUE 10 acceptance: >= 2x), and re-checks bit-identity of
-// every per-group sample vector on each iteration.
-func BenchmarkKernel_GroupedMC_Speedup(b *testing.B) {
-	b.ReportAllocs()
-	var interpDur, vecDur time.Duration
-	for i := 0; i < b.N; i++ {
-		// Engine construction (table registration) is untimed; the timed
-		// region is the query run — plan execution plus the Monte Carlo
-		// version loop the kernels accelerate.
-		eInterp := kernelGroupedEngine(b, uint64(i), false)
-		eVec := kernelGroupedEngine(b, uint64(i), true)
-		start := time.Now()
-		interp := kernelGroupedRun(b, eInterp)
-		interpDur += time.Since(start)
-		start = time.Now()
-		vec := kernelGroupedRun(b, eVec)
-		vecDur += time.Since(start)
-		for gi := range vec.Groups {
-			iv, vv := interp.Groups[gi].Dists[0].Samples, vec.Groups[gi].Dists[0].Samples
-			for j := range vv {
-				if iv[j] != vv[j] {
-					b.Fatalf("group %d sample %d: interp %v vs vec %v", gi, j, iv[j], vv[j])
-				}
-			}
-		}
-	}
-	if vecDur > 0 {
-		b.ReportMetric(interpDur.Seconds()/vecDur.Seconds(), "speedup")
-	}
-}
-
-// kernelQuickstartEngine is the §2 quickstart workload with the kernel
-// switch exposed: a deterministic-column filter (the Select det-batch
-// kernel) under an ungrouped SUM.
-func kernelQuickstartEngine(b *testing.B, kernels bool) *mcdbr.Engine {
+// kernelQuickstartEngine is the §2 quickstart workload: a
+// deterministic-column filter (the Select det-batch kernel) under an
+// ungrouped SUM.
+func kernelQuickstartEngine(b *testing.B) *mcdbr.Engine {
 	b.Helper()
-	e := mcdbr.New(mcdbr.WithSeed(42), mcdbr.WithParallelism(1),
-		mcdbr.WithWindow(4096), mcdbr.WithVectorizedKernels(kernels))
+	e := mcdbr.New(mcdbr.WithSeed(42), mcdbr.WithParallelism(1), mcdbr.WithWindow(4096))
 	e.RegisterTable(workload.LossMeans(100, 2, 8, 7))
 	if err := e.DefineRandomTable(mcdbr.RandomTable{
 		Name: "losses", ParamTable: "means", VG: "Normal",
@@ -1115,9 +1068,10 @@ func kernelQuickstartEngine(b *testing.B, kernels bool) *mcdbr.Engine {
 	return e
 }
 
-func benchKernelQuickstart(b *testing.B, kernels bool) {
-	b.Helper()
-	e := kernelQuickstartEngine(b, kernels)
+// BenchmarkKernel_Quickstart_Vec measures the quickstart SUM.
+func BenchmarkKernel_Quickstart_Vec(b *testing.B) {
+	b.ReportAllocs()
+	e := kernelQuickstartEngine(b)
 	pq, err := e.Prepare(`SELECT SUM(val) AS totalLoss FROM losses WHERE cid < 10090
 WITH RESULTDISTRIBUTION MONTECARLO(1024)`)
 	if err != nil {
@@ -1135,23 +1089,11 @@ WITH RESULTDISTRIBUTION MONTECARLO(1024)`)
 	}
 }
 
-// BenchmarkKernel_Quickstart_Interp measures the quickstart SUM with
-// kernels disabled.
-func BenchmarkKernel_Quickstart_Interp(b *testing.B) {
+// BenchmarkKernel_Fig2SelfJoin_Vec measures the Fig. 2 salary inversion
+// self-join (cross-seed final predicate).
+func BenchmarkKernel_Fig2SelfJoin_Vec(b *testing.B) {
 	b.ReportAllocs()
-	benchKernelQuickstart(b, false)
-}
-
-// BenchmarkKernel_Quickstart_Vec is the kernel counterpart.
-func BenchmarkKernel_Quickstart_Vec(b *testing.B) {
-	b.ReportAllocs()
-	benchKernelQuickstart(b, true)
-}
-
-func benchKernelFig2(b *testing.B, kernels bool) {
-	b.Helper()
-	e := mcdbr.New(mcdbr.WithSeed(77), mcdbr.WithParallelism(1),
-		mcdbr.WithWindow(4096), mcdbr.WithVectorizedKernels(kernels))
+	e := mcdbr.New(mcdbr.WithSeed(77), mcdbr.WithParallelism(1), mcdbr.WithWindow(4096))
 	sup, empmeans := workload.SalaryDB()
 	e.RegisterTable(sup)
 	e.RegisterTable(empmeans)
@@ -1179,18 +1121,4 @@ WITH RESULTDISTRIBUTION MONTECARLO(512)`)
 			b.Fatalf("samples = %d", len(res.Dist.Samples))
 		}
 	}
-}
-
-// BenchmarkKernel_Fig2SelfJoin_Interp measures the Fig. 2 salary
-// inversion self-join (cross-seed final predicate) with kernels
-// disabled.
-func BenchmarkKernel_Fig2SelfJoin_Interp(b *testing.B) {
-	b.ReportAllocs()
-	benchKernelFig2(b, false)
-}
-
-// BenchmarkKernel_Fig2SelfJoin_Vec is the kernel counterpart.
-func BenchmarkKernel_Fig2SelfJoin_Vec(b *testing.B) {
-	b.ReportAllocs()
-	benchKernelFig2(b, true)
 }

@@ -291,12 +291,13 @@ type aggGroup struct {
 }
 
 // AggEval is the single-pass grouped-aggregation evaluator over one plan
-// run's tuple stream. Build it once per run with OpenEval; EvalVersion then
-// produces the vector of aggregate values for every group for one DB
-// version in a single sweep over the (partitioned) tuples. Scratch rows
-// and per-group state are allocated once, in contiguous backing arrays,
-// and reused across versions — the evaluator adds no per-version
-// allocation to the Monte Carlo hot path.
+// run's tuple stream. Build it once per run with OpenEval; EvalWindow then
+// produces the aggregate values of every group for every DB version in
+// one window-major sweep over the (partitioned) tuples. EvalVersion
+// produces one version's values; it is the reference that EvalWindow is
+// tested against. Scratch rows and per-group state are allocated once, in
+// contiguous backing arrays, and reused across versions — the evaluator
+// adds no per-version allocation to the Monte Carlo hot path.
 type AggEval struct {
 	agg      *Aggregate
 	final    *expr.Compiled
@@ -307,13 +308,10 @@ type AggEval struct {
 	states   []AggState // per-version scratch, reset per group
 
 	// Window-major evaluation (DESIGN.md §13): the child schema kernels
-	// are lowered against, whether the run's workspace allows kernels, and
-	// the lazily built per-run kernel/scratch state. winBad latches a
-	// failed kernel lowering so EvalWindow doesn't retry it per call.
+	// are lowered against and the lazily built per-run kernel/scratch
+	// state.
 	childSchema *types.Schema
-	kernelsOn   bool
 	win         *winEval
-	winBad      bool
 }
 
 // groupKeySlots collects the schema slots the grouping expressions read;
@@ -345,8 +343,7 @@ func groupKeySlots(agg *Aggregate, schema *types.Schema) ([]int, error) {
 // over an empty tuple stream.
 func (a *Aggregate) OpenEval(ws *Workspace, final expr.Expr) (*AggEval, error) {
 	schema := a.Child.Schema()
-	ev := &AggEval{agg: a, aggExprs: make([]*expr.Compiled, len(a.Aggs)),
-		childSchema: schema, kernelsOn: !ws.DisableKernels}
+	ev := &AggEval{agg: a, aggExprs: make([]*expr.Compiled, len(a.Aggs)), childSchema: schema}
 	var err error
 	if final != nil {
 		if ev.final, err = expr.Compile(final, schema); err != nil {
@@ -563,7 +560,9 @@ func (ev *AggEval) Key(g int) types.Row { return ev.groups[g].key }
 // version in a single pass: out[g][a] is aggregate a of group g.
 // include[g] reports the HAVING outcome per group (always true without a
 // HAVING clause); pass nil when the query has none. Both buffers must be
-// pre-sized ([NumGroups][len(Aggs)] and [NumGroups]).
+// pre-sized ([NumGroups][len(Aggs)] and [NumGroups]). It is the
+// version-major reference that EvalWindow is tested against and has no
+// production caller.
 func (ev *AggEval) EvalVersion(b bundle.Binding, out [][]float64, include []bool) error {
 	for g := range ev.groups {
 		grp := &ev.groups[g]
@@ -611,11 +610,11 @@ func (ev *AggEval) included(g int, vals []float64) bool {
 // and the version-indexed scratch lanes they accumulate into. All slices
 // are grown once and reused across groups and tuples.
 type winEval struct {
-	aggKerns  []*expr.Kernel // per aggregate; nil for COUNT(*)
-	finalKern *expr.Kernel   // nil when there is no final predicate
+	aggKerns  []*expr.Kernel // per aggregate; nil for COUNT(*) or an input that does not lower
+	finalKern *expr.Kernel   // nil without a final predicate or when it does not lower
 	present   []bool         // per version: presence ∧ final predicate
-	fmask     []bool         // final-predicate kernel output
-	val       []float64      // aggregate-input kernel output
+	fmask     []bool         // final-predicate lanes
+	val       []float64      // aggregate-input lanes
 	vnull     []bool
 	sums      [][]float64 // per aggregate × version running state
 	counts    [][]int64
@@ -636,11 +635,9 @@ func (we *winEval) ensure(n int) {
 }
 
 // buildWinEval lowers the aggregate-input expressions and the final
-// predicate into kernels. False means some expression cannot be lowered
-// (or has a static string result, which EvalNumeric refuses so the
-// interpreter's error surfaces) and window-major evaluation is off for
-// this run.
-func (ev *AggEval) buildWinEval() bool {
+// predicate into kernels. An expression that does not lower keeps a nil
+// kernel, and EvalWindow fills its lanes from the interpreter.
+func (ev *AggEval) buildWinEval() {
 	we := &winEval{
 		aggKerns: make([]*expr.Kernel, len(ev.agg.Aggs)),
 		sums:     make([][]float64, len(ev.agg.Aggs)),
@@ -648,101 +645,46 @@ func (ev *AggEval) buildWinEval() bool {
 		vals:     make([]float64, len(ev.agg.Aggs)),
 	}
 	for i, spec := range ev.agg.Aggs {
-		if spec.Expr == nil {
-			continue
+		if spec.Expr != nil {
+			if k, err := expr.CompileKernel(spec.Expr, ev.childSchema); err == nil {
+				we.aggKerns[i] = k
+			}
 		}
-		k, err := expr.CompileKernel(spec.Expr, ev.childSchema)
-		if err != nil || k.Kind() == types.KindString {
-			return false
-		}
-		we.aggKerns[i] = k
 	}
 	if ev.final != nil {
-		k, err := ev.final.Kernel(ev.childSchema)
-		if err != nil {
-			return false
+		if k, err := ev.final.Kernel(ev.childSchema); err == nil {
+			we.finalKern = k
 		}
-		we.finalKern = k
 	}
 	ev.win = we
-	return true
-}
-
-// windowIdentity reports whether a seed's first n version assignments are
-// the identity mapping base, base+1, … over a contiguously materialized
-// stretch of its window — the layout InitAssignAt produces, under which
-// version v of the seed is exactly window row Assign[0]-Lo+v.
-func windowIdentity(ws *Workspace, id uint64, n int) bool {
-	s := ws.Seeds.MustGet(id)
-	if len(s.Assign) < n {
-		return false
-	}
-	base := s.Assign[0]
-	for v := 1; v < n; v++ {
-		if s.Assign[v] != base+uint64(v) {
-			return false
-		}
-	}
-	w := &s.Window
-	return base >= w.Lo && base+uint64(n) <= w.End()
 }
 
 // EvalWindow computes out[g][a][v] for all n versions in a single
-// window-major pass: per random tuple, the aggregate-input and
-// final-predicate kernels run across the tuple's whole replicate window
-// at once (the versions live contiguously in the seed window arena), and
-// results accumulate into per-version running sums. Per (group,
-// aggregate, version) the additions happen in exactly the order
-// EvalVersion performs them — deterministic base first, then random
-// tuples in plan order — so the results are bit-for-bit identical.
-// include is EvalVersion's HAVING output widened to the window
-// (include[g][v], pre-sized [NumGroups][n]); nil when the query has no
-// HAVING. Once a group's lanes are final, each version's values go
-// through the same include step as EvalVersion — HAVING runs per group
-// per version on finished aggregates, so it needs no kernel.
+// window-major pass: per random tuple, the aggregate inputs and the final
+// predicate are evaluated across the tuple's whole replicate window at
+// once (the versions live contiguously in the seed window arena), and
+// results accumulate into per-version running sums. Each expression's
+// lanes come from its kernel, or — when it has none, its result kind is
+// string, or the tuple's values contradict the kernel's static kinds —
+// from the interpreter, version by version over the rows EvalVersion
+// evaluates. Per (group, aggregate, version) the additions happen in
+// exactly the order EvalVersion performs them — deterministic base
+// first, then random tuples in plan order — so the results are
+// bit-for-bit identical. include is EvalVersion's HAVING output widened
+// to the window (include[g][v], pre-sized [NumGroups][n]); nil when the
+// query has no HAVING. Once a group's lanes are final, each version's
+// values go through the same include step as EvalVersion — HAVING runs
+// per group per version on finished aggregates, so it needs no kernel.
 //
-// ok=false means window-major evaluation does not apply to this run —
-// kernels are disabled, an expression cannot be lowered, or some seed's
-// assignment / window / presence coverage is not the contiguous identity
-// layout (e.g. n exceeds the materialized window). out and include may
-// then be part-written; the caller must run the version-major path, which
-// overwrites every slot.
-func (ev *AggEval) EvalWindow(ws *Workspace, n int, out [][][]float64, include [][]bool) (bool, error) {
-	if !ev.kernelsOn || ev.winBad || n < 1 {
-		return false, nil
+// ws must hold the identity layout a ShardWorkspace has: version v of
+// every seed is stream position ws.Base+v, inside the seed's window and
+// its presence bits. n beyond the workspace window is an error.
+func (ev *AggEval) EvalWindow(ws *Workspace, n int, out [][][]float64, include [][]bool) error {
+	if n > ws.Window {
+		return fmt.Errorf("exec: %d versions exceed the workspace window of %d", n, ws.Window)
 	}
-	// Every referenced seed must be in identity layout, and every presence
-	// vector must cover its seed's n versions in its contiguous bits.
-	seedOK := map[uint64]bool{}
-	check := func(id uint64) bool {
-		ok, seen := seedOK[id]
-		if !seen {
-			ok = windowIdentity(ws, id, n)
-			seedOK[id] = ok
-		}
-		return ok
-	}
-	for g := range ev.groups {
-		for _, tu := range ev.groups[g].rand {
-			for _, r := range tu.Rand {
-				if !check(r.SeedID) {
-					return false, nil
-				}
-			}
-			for _, p := range tu.Pres {
-				if !check(p.SeedID) {
-					return false, nil
-				}
-				base := ws.Seeds.MustGet(p.SeedID).Assign[0]
-				if base < p.Lo || base+uint64(n) > p.Lo+uint64(len(p.Bits)) {
-					return false, nil
-				}
-			}
-		}
-	}
-	if ev.win == nil && !ev.buildWinEval() {
-		ev.winBad = true
-		return false, nil
+	if ev.win == nil {
+		ev.buildWinEval()
 	}
 	we := ev.win
 	we.ensure(n)
@@ -755,9 +697,10 @@ func (ev *AggEval) EvalWindow(ws *Workspace, n int, out [][][]float64, include [
 				counts[v] = b.Count
 			}
 		}
+		//mcdbr:hotpath
 		for _, tu := range grp.rand {
 			if err := ws.Cancelled(); err != nil {
-				return false, err
+				return err
 			}
 			present := we.present[:n]
 			for v := range present {
@@ -780,15 +723,19 @@ func (ev *AggEval) EvalWindow(ws *Workspace, n int, out [][][]float64, include [
 				rows := s.Window.Vals[s.Assign[0]-s.Window.Lo:]
 				for v := 0; v < n; v++ {
 					if present[v] && r.Out >= len(rows[v]) {
-						return false, fmt.Errorf("bundle: seed %d output %d of %d", r.SeedID, r.Out, len(rows[v]))
+						return fmt.Errorf("bundle: seed %d output %d of %d", r.SeedID, r.Out, len(rows[v]))
 					}
 				}
 			}
-			if we.finalKern != nil {
-				if !we.gather(ws, tu, we.finalKern, n) {
-					return false, nil
+			if ev.final != nil {
+				if k := we.finalKern; k != nil && we.gather(ws, tu, k, n) {
+					k.EvalMask(we.fmask)
+				} else if err := ev.interpLanes(ws, tu, present, func(v int, row types.Row) error {
+					we.fmask[v] = ev.final.EvalBool(row)
+					return nil
+				}); err != nil {
+					return err
 				}
-				we.finalKern.EvalMask(we.fmask)
 				for v := 0; v < n; v++ {
 					if !we.fmask[v] {
 						present[v] = false
@@ -806,8 +753,14 @@ func (ev *AggEval) EvalWindow(ws *Workspace, n int, out [][][]float64, include [
 					continue
 				}
 				k := we.aggKerns[a]
-				if !we.gather(ws, tu, k, n) || !k.EvalNumeric(we.val, we.vnull) {
-					return false, nil
+				if k == nil || !we.gather(ws, tu, k, n) || !k.EvalNumeric(we.val, we.vnull) {
+					if err := ev.interpLanes(ws, tu, present, func(v int, row types.Row) error {
+						s, c, err := spec.Contribution(ev.aggExprs[a], row, 1)
+						we.val[v], we.vnull[v] = s, c == 0
+						return err
+					}); err != nil {
+						return err
+					}
 				}
 				for v := 0; v < n; v++ {
 					if present[v] && !we.vnull[v] {
@@ -832,7 +785,27 @@ func (ev *AggEval) EvalWindow(ws *Workspace, n int, out [][][]float64, include [
 			}
 		}
 	}
-	return true, nil
+	return nil
+}
+
+// interpLanes fills one expression's lanes from the interpreter for the
+// versions where tu is present: it rebuilds version v's row exactly as
+// EvalVersion does and hands it to fill, which writes lane v. Lanes of
+// absent versions are left as they are; the caller never reads them.
+func (ev *AggEval) interpLanes(ws *Workspace, tu *bundle.Tuple, present []bool, fill func(v int, row types.Row) error) error {
+	for v, ok := range present {
+		if !ok {
+			continue
+		}
+		row, _, err := tu.Eval(bundle.Bind(ws.Seeds, v), ev.buf)
+		if err != nil {
+			return err
+		}
+		if err := fill(v, row); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // gather loads one tuple's inputs into a kernel's column lanes: version v
@@ -841,7 +814,8 @@ func (ev *AggEval) EvalWindow(ws *Workspace, n int, out [][][]float64, include [
 // broadcast once; a random slot with a version whose VG output row is too
 // short is skipped (such versions are always masked absent — gather runs
 // after the bounds check above). False means a gathered value contradicts
-// the kernel's static types and the caller must fall back.
+// the kernel's static kinds, and the caller fills this tuple's lanes from
+// the interpreter instead.
 func (we *winEval) gather(ws *Workspace, tu *bundle.Tuple, k *expr.Kernel, n int) bool {
 	k.Begin(n)
 	for _, col := range k.Cols() {

@@ -14,7 +14,7 @@ func TestCrossProduct(t *testing.T) {
 	a, _ := NewScan(cat, "means", "a")
 	b, _ := NewScan(cat, "dept", "b")
 	cross := NewCross(a, b, nil)
-	out, err := ws.Run(cross)
+	out, err := runPlan(ws, cross)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestCrossResidual(t *testing.T) {
 	a, _ := NewScan(cat, "means", "a")
 	b, _ := NewScan(cat, "dept", "b")
 	cross := NewCross(a, b, expr.B(expr.OpLt, expr.C("a.cid"), expr.C("b.cid")))
-	out, err := ws.Run(cross)
+	out, err := runPlan(ws, cross)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestCrossCarriesRandomLineage(t *testing.T) {
 	loss := buildLossPlan(t, ws)
 	b, _ := NewScan(cat, "dept", "b")
 	cross := NewCross(loss, b, nil)
-	out, err := ws.Run(cross)
+	out, err := runPlan(ws, cross)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestCrossCarriesRandomLineage(t *testing.T) {
 	}
 	// Right-side random slots must shift by the left width.
 	cross2 := NewCross(b, loss, nil)
-	out2, err := ws.Run(cross2)
+	out2, err := runPlan(ws, cross2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestRenameOperator(t *testing.T) {
 	if ren.Schema().Lookup("x.cid") != 0 || ren.Schema().Lookup("x.m") != 1 {
 		t.Fatalf("renamed schema = %s", ren.Schema())
 	}
-	out, err := ws.Run(ren)
+	out, err := runPlan(ws, ren)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestProjectAs(t *testing.T) {
 	if p.Schema().Col(0).Kind != types.KindFloat {
 		t.Fatalf("kind lost: %s", p.Schema())
 	}
-	out, err := ws.Run(p)
+	out, err := runPlan(ws, p)
 	if err != nil {
 		t.Fatal(err)
 	}

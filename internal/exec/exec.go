@@ -15,7 +15,7 @@
 //
 // A plan runs once per query run: results of fully deterministic subtrees
 // are materialized on first execution and served from cache on
-// re-execution (Workspace.Run, the prefix cache), and Instantiate
+// re-execution (Materialize, the prefix cache), and Instantiate
 // materializes one window per TS-seed. Stream positions beyond it are a
 // pure function of (seed, position) and are drawn on demand by the Gibbs
 // looper, so the paper's §9 replenishing runs do not exist here.
@@ -120,11 +120,12 @@ type Workspace struct {
 	// zero workspace stays valid and the hot path pays one nil check.
 	Ctx context.Context
 
+	// matCache holds each Materialize node's drained subtree for the
+	// workspace's lifetime.
 	matCache map[Node][]*bundle.Tuple
 
 	// keep holds allocations that live as long as the workspace:
-	// deterministic subtree outputs, compat-Run results, and the tuples
-	// consumers Retain. Operator iterators use pooled per-operator slabs
+	// deterministic subtree outputs and the tuples consumers Retain. Operator iterators use pooled per-operator slabs
 	// instead, recycled per batch.
 	keep *bundle.Slab
 	// pool recycles per-operator slabs across Open/Close cycles, so a
@@ -138,11 +139,6 @@ type Workspace struct {
 	// query). Pooled slabs are Reset (zeroed), so results are identical
 	// with or without the pool.
 	Slabs *SlabPool
-	// DisableKernels forces the closure-tree expression interpreter
-	// everywhere, skipping the typed vectorized kernels (DESIGN.md §13).
-	// Results are bit-for-bit identical either way — the flag exists for
-	// differential testing and the interpreter-vs-kernel benchmarks.
-	DisableKernels bool
 }
 
 // SlabPool recycles per-operator scratch slabs across query runs. Every
@@ -300,8 +296,8 @@ func retainInto(slab *bundle.Slab, tu *bundle.Tuple) *bundle.Tuple {
 // drainNode streams the subtree under n to completion, retaining every
 // tuple in slab — except when the subtree serves durable batches (a
 // materialized prefix), which are referenced without copying. It is the
-// buffering primitive behind the compat Run path and the build/ordering
-// buffers inside join operators.
+// buffering primitive behind Materialize and the build/ordering buffers
+// inside join operators.
 func (ws *Workspace) drainNode(n Node, slab *bundle.Slab) ([]*bundle.Tuple, error) {
 	it, err := n.Open(ws)
 	if err != nil {
@@ -331,31 +327,12 @@ func (ws *Workspace) drainNode(n Node, slab *bundle.Slab) ([]*bundle.Tuple, erro
 	}
 }
 
-// Run executes the plan rooted at n and materializes its entire output —
-// the compatibility wrapper over the streaming pipeline for consumers
-// that want whole relations (internal/naive, tests). Deterministic roots
-// are cached per workspace, so repeated runs reuse the first result.
-func (ws *Workspace) Run(n Node) ([]*bundle.Tuple, error) {
-	if cached, ok := ws.matCache[n]; ok {
-		return cached, nil
-	}
-	out, err := ws.drainNode(n, ws.keep)
-	if err != nil {
-		return nil, err
-	}
-	if n.Deterministic() {
-		ws.matCache[n] = out
-	}
-	return out, nil
-}
-
 // Node is one operator in a physical plan.
 type Node interface {
 	// Schema is the operator's output schema.
 	Schema() *types.Schema
 	// Open starts one streaming execution of the subtree, returning its
-	// iterator. Use Workspace.Run to materialize a whole result with
-	// caching of deterministic roots.
+	// iterator.
 	Open(ws *Workspace) (Iterator, error)
 	// Deterministic reports whether the subtree involves no randomness.
 	Deterministic() bool
@@ -747,12 +724,10 @@ func (n *Select) Open(ws *Workspace) (Iterator, error) {
 		scratch:  make(types.Row, schema.Len()),
 		slab:     ws.getSlab(),
 	}
-	if !ws.DisableKernels {
-		// Kernel lowering is best-effort: a predicate the kernel compiler
-		// rejects keeps the interpreter (DESIGN.md §13 fallback rule).
-		if k, err := expr.CompileKernel(n.Pred, schema); err == nil {
-			it.kern = k
-		}
+	// Kernel lowering is best-effort: a predicate the kernel compiler
+	// rejects keeps the interpreter (DESIGN.md §13 fallback rule).
+	if k, err := expr.CompileKernel(n.Pred, schema); err == nil {
+		it.kern = k
 	}
 	return it, nil
 }
@@ -762,7 +737,7 @@ type selectIter struct {
 	op       *Select
 	child    Iterator
 	compiled *expr.Compiled
-	kern     *expr.Kernel // nil: interpreter-only (disabled or not lowerable)
+	kern     *expr.Kernel // nil: interpreter-only (not lowerable)
 	refSlots []int
 	scratch  types.Row
 	refs     []bundle.RandRef

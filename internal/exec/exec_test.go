@@ -50,7 +50,13 @@ func testCatalog() *storage.Catalog {
 	return cat
 }
 
-func normalFunc(t *testing.T) vg.Func {
+// runPlan streams the plan rooted at n to completion and returns its whole
+// output, retained in the workspace's pinned slab.
+func runPlan(ws *Workspace, n Node) ([]*bundle.Tuple, error) {
+	return ws.drainNode(n, ws.keep)
+}
+
+func normalFunc(t testing.TB) vg.Func {
 	t.Helper()
 	f, ok := vg.NewRegistry().Lookup("Normal")
 	if !ok {
@@ -61,7 +67,7 @@ func normalFunc(t *testing.T) vg.Func {
 
 // buildLossPlan is the paper §2 Losses pipeline: Scan(means) -> Seed(Normal)
 // -> Instantiate.
-func buildLossPlan(t *testing.T, ws *Workspace) Node {
+func buildLossPlan(t testing.TB, ws *Workspace) Node {
 	t.Helper()
 	scan, err := NewScan(ws.Catalog, "means", "means")
 	if err != nil {
@@ -82,7 +88,7 @@ func TestScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := ws.Run(scan)
+	out, err := runPlan(ws, scan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +107,7 @@ func TestSeedAndInstantiate(t *testing.T) {
 	cat := testCatalog()
 	ws := NewWorkspace(cat, prng.NewStream(1), 8)
 	plan := buildLossPlan(t, ws)
-	out, err := ws.Run(plan)
+	out, err := runPlan(ws, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +147,7 @@ func TestSeedRejectsRandomParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ws.Run(&Instantiate{Child: seed2}); err == nil {
+	if _, err := runPlan(ws, &Instantiate{Child: seed2}); err == nil {
 		t.Fatal("random VG parameter must be rejected")
 	}
 }
@@ -151,7 +157,7 @@ func TestSelectDeterministic(t *testing.T) {
 	ws := NewWorkspace(cat, prng.NewStream(1), 8)
 	plan := buildLossPlan(t, ws)
 	sel := &Select{Child: plan, Pred: expr.B(expr.OpLt, expr.C("means.cid"), expr.I(3))}
-	out, err := ws.Run(sel)
+	out, err := runPlan(ws, sel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +172,7 @@ func TestSelectOnRandomAttrBuildsPresVec(t *testing.T) {
 	plan := buildLossPlan(t, ws)
 	// losses.val > mean: true for ~half the positions of each seed.
 	sel := &Select{Child: plan, Pred: expr.B(expr.OpGt, expr.C("losses.val"), expr.C("means.m"))}
-	out, err := ws.Run(sel)
+	out, err := runPlan(ws, sel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +213,7 @@ func TestSelectKeepsAllFalseTuples(t *testing.T) {
 	// Every mean is at most 5 with sd 1; val > mean+3 is rare enough that
 	// some seeds have no true bit in a 16-value window.
 	sel := &Select{Child: plan, Pred: expr.B(expr.OpGt, expr.C("losses.val"), expr.B(expr.OpAdd, expr.C("means.m"), expr.F(3)))}
-	out, err := ws.Run(sel)
+	out, err := runPlan(ws, sel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +269,7 @@ func TestSelectMultiSeedPredicateRejected(t *testing.T) {
 	}
 	plan := &Select{Child: &Instantiate{Child: seed2},
 		Pred: expr.B(expr.OpGt, expr.C("v1"), expr.C("v2"))}
-	if _, err := ws.Run(plan); err == nil || !strings.Contains(err.Error(), "GibbsLooper") {
+	if _, err := runPlan(ws, plan); err == nil || !strings.Contains(err.Error(), "GibbsLooper") {
 		t.Fatalf("multi-seed predicate: err = %v", err)
 	}
 }
@@ -277,7 +283,7 @@ func TestProjectKeepsLineage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := ws.Run(proj)
+	out, err := runPlan(ws, proj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +315,7 @@ func TestHashJoinDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := ws.Run(join)
+	out, err := runPlan(ws, join)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +343,7 @@ func TestHashJoinResidual(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := ws.Run(join)
+	out, err := runPlan(ws, join)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +361,7 @@ func TestHashJoinOnRandomKeyRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ws.Run(join); err == nil || !strings.Contains(err.Error(), "Split") {
+	if _, err := runPlan(ws, join); err == nil || !strings.Contains(err.Error(), "Split") {
 		t.Fatalf("random join key: err = %v", err)
 	}
 }
@@ -369,7 +375,7 @@ func TestSplitConvertsRandomToPresence(t *testing.T) {
 		t.Fatal(err)
 	}
 	split := &Split{Child: &Instantiate{Child: seed}, Col: "coin"}
-	out, err := ws.Run(split)
+	out, err := runPlan(ws, split)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +433,7 @@ func TestSplitConvertsRandomToPresence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jout, err := ws.Run(join)
+	jout, err := runPlan(ws, join)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +447,7 @@ func TestSplitPassesDeterministicTuples(t *testing.T) {
 	ws := NewWorkspace(cat, prng.NewStream(1), 8)
 	scan, _ := NewScan(cat, "means", "means")
 	split := &Split{Child: scan, Col: "means.m"}
-	out, err := ws.Run(split)
+	out, err := runPlan(ws, split)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,7 +460,8 @@ func TestDeterministicSubplanCaching(t *testing.T) {
 	cat := testCatalog()
 	ws := NewWorkspace(cat, prng.NewStream(1), 8)
 	scan, _ := NewScan(cat, "means", "means")
-	first, err := ws.Run(scan)
+	m := &Materialize{Child: scan}
+	first, err := runPlan(ws, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +469,7 @@ func TestDeterministicSubplanCaching(t *testing.T) {
 	// be served on re-run (the paper materializes deterministic parts so
 	// re-runs skip them).
 	cat.MustGet("means").MustAppend(types.Row{types.NewInt(99), types.NewFloat(9)})
-	second, err := ws.Run(scan)
+	second, err := runPlan(ws, m)
 	if err != nil {
 		t.Fatal(err)
 	}

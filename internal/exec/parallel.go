@@ -54,7 +54,6 @@ func ShardWorkspace(proto *Workspace, lo, hi int) *Workspace {
 	ws.MaxBytes = proto.MaxBytes
 	ws.Slabs = proto.Slabs
 	ws.Ctx = proto.Ctx
-	ws.DisableKernels = proto.DisableKernels
 	ws.adoptGauge(proto.Gauge)
 	return ws
 }

@@ -19,7 +19,7 @@ import (
 )
 
 // Materialize caches the output of a deterministic subtree. Within one
-// workspace the result is computed at most once (Workspace.Run's
+// workspace the result is computed at most once (the workspace's
 // materialization cache); with an engine-level prefix cache attached to
 // the workspace, re-executions — prepared queries, repeated server
 // statements, sibling shard workers — skip the subtree entirely and share

@@ -27,7 +27,7 @@ func TestMaterializeUsesPrefixCache(t *testing.T) {
 	}
 
 	ws1, m1 := newPlan()
-	out1, err := ws1.Run(m1)
+	out1, err := runPlan(ws1, m1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestMaterializeUsesPrefixCache(t *testing.T) {
 	}
 
 	ws2, m2 := newPlan()
-	out2, err := ws2.Run(m2)
+	out2, err := runPlan(ws2, m2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestJoinOutputNeverAliasesCatalog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := ws.Run(join)
+	out, err := runPlan(ws, join)
 	if err != nil {
 		t.Fatal(err)
 	}

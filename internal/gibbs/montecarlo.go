@@ -3,7 +3,6 @@ package gibbs
 import (
 	"fmt"
 
-	"repro/internal/bundle"
 	"repro/internal/exec"
 	"repro/internal/expr"
 	"repro/internal/types"
@@ -54,15 +53,12 @@ type GroupedRuns struct {
 // monteCarloGrouped evaluates one replicate window of a grouped (and/or
 // multi-aggregate) query in a single pass: the plan below agg runs once,
 // its tuples are partitioned by their deterministic group key once, and
-// each of the n repetitions produces the whole per-group aggregate vector
-// in one sweep. final is the Gibbs-looper final predicate (paper App. A),
-// applied to every tuple before aggregation. ws must materialize exactly
-// the window's stream positions, as a ShardWorkspace does; the round
-// driver (MonteCarloGroupedAdaptive) is the only production caller.
-//
-// The window-major pass (AggEval.EvalWindow, HAVING included) runs first;
-// the version-major loop is the fallback when kernels are off, the seed
-// layout is not the identity layout, or a kernel meets a kind mismatch.
+// one window-major sweep (AggEval.EvalWindow, HAVING included) produces
+// the per-group aggregate vectors of all n repetitions. final is the
+// Gibbs-looper final predicate (paper App. A), applied to every tuple
+// before aggregation. ws must materialize exactly the window's stream
+// positions, as a ShardWorkspace does; the round driver
+// (MonteCarloGroupedAdaptive) is the only production caller.
 //
 // For a single ungrouped aggregate the per-repetition arithmetic is
 // identical, operation for operation, to MonteCarlo — deterministic
@@ -85,46 +81,14 @@ func monteCarloGrouped(ws *exec.Workspace, agg *exec.Aggregate, final expr.Expr,
 			out.Samples[g][a] = make([]float64, n)
 		}
 	}
-	vec := make([][]float64, nG)
-	for g := range vec {
-		vec[g] = make([]float64, nA)
-	}
-	var include []bool
 	if agg.Having != nil {
-		include = make([]bool, nG)
 		out.Include = make([][]bool, nG)
 		for g := range out.Include {
 			out.Include[g] = make([]bool, n)
 		}
 	}
-	// Window-major fast path (DESIGN.md §13): when the assignment is the
-	// contiguous identity layout (always true for a ShardWorkspace),
-	// evaluate every version of each tuple in one kernel pass, then HAVING
-	// per group per version. Bit-identical to the version-major loop below,
-	// which any invalid layout falls through to.
-	ok, err := ev.EvalWindow(ws, n, out.Samples, out.Include)
-	if err != nil {
+	if err := ev.EvalWindow(ws, n, out.Samples, out.Include); err != nil {
 		return nil, err
-	}
-	if ok {
-		return out, nil
-	}
-	//mcdbr:hotpath
-	for v := 0; v < n; v++ {
-		if err := ws.Cancelled(); err != nil {
-			return nil, err
-		}
-		if err := ev.EvalVersion(bundle.Bind(ws.Seeds, v), vec, include); err != nil {
-			return nil, err
-		}
-		for g := 0; g < nG; g++ {
-			for a := 0; a < nA; a++ {
-				out.Samples[g][a][v] = vec[g][a]
-			}
-			if include != nil {
-				out.Include[g][v] = include[g]
-			}
-		}
 	}
 	return out, nil
 }

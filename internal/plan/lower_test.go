@@ -79,17 +79,29 @@ func TestBuildLowerRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	ws := exec.NewWorkspace(cat, prng.NewStream(7), 32)
-	out, err := ws.Run(node)
+	it, err := node.Open(ws)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 3 {
-		t.Fatalf("tuples = %d, want 3 (cid < 3)", len(out))
-	}
-	for _, tu := range out {
-		if len(tu.Rand) != 1 {
-			t.Fatalf("tuple lacks its random slot: %+v", tu)
+	defer it.Close()
+	tuples := 0
+	for {
+		b, err := it.Next()
+		if err != nil {
+			t.Fatal(err)
 		}
+		if b == nil {
+			break
+		}
+		for _, tu := range b.Tuples {
+			tuples++
+			if len(tu.Rand) != 1 {
+				t.Fatalf("tuple lacks its random slot: %+v", tu)
+			}
+		}
+	}
+	if tuples != 3 {
+		t.Fatalf("tuples = %d, want 3 (cid < 3)", tuples)
 	}
 	// The physical tree mirrors the logical one.
 	phys := exec.FormatPlan(node)

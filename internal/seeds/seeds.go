@@ -44,9 +44,6 @@ func (w *Window) Contains(pos uint64) bool {
 	return pos >= w.Lo && pos < w.Lo+uint64(len(w.Vals))
 }
 
-// End returns one past the last materialized position.
-func (w *Window) End() uint64 { return w.Lo + uint64(len(w.Vals)) }
-
 // TSSeed is one tail-sampling seed (paper §6): it identifies a stream of VG
 // outputs and tracks which stream position each DB version currently uses.
 type TSSeed struct {

@@ -47,15 +47,14 @@ type Engine struct {
 	cat *storage.Catalog
 	vgs *vg.Registry
 
-	// seed, window, parallelism, batchSize, maxQueryBytes, and noKernels
-	// are set by New options only and are immutable afterwards, so queries
-	// read them without locking.
+	// seed, window, parallelism, batchSize, and maxQueryBytes are set by
+	// New options only and are immutable afterwards, so queries read them
+	// without locking.
 	seed          uint64
 	window        int
 	parallelism   int
 	batchSize     int
 	maxQueryBytes int64
-	noKernels     bool
 
 	// mu guards rand and ddlEpoch. The catalog and VG registry carry their
 	// own locks; mu is the engine-level lock for definition state and is
@@ -139,14 +138,6 @@ func WithMaxQueryBytes(n int64) Option {
 	}
 }
 
-// WithVectorizedKernels toggles the typed vectorized expression kernels
-// (DESIGN.md §13). On by default; off forces the closure-tree interpreter
-// everywhere. Results are bit-for-bit identical either way — the switch
-// exists for differential testing and interpreter-vs-kernel benchmarks.
-func WithVectorizedKernels(on bool) Option {
-	return func(e *Engine) { e.noKernels = !on }
-}
-
 // WithPlanCacheSize sets how many prepared plans the engine's LRU plan
 // cache retains (see Prepare); n <= 0 selects the default of 64.
 func WithPlanCacheSize(n int) Option {
@@ -189,7 +180,6 @@ func (e *Engine) newRunWorkspace(seed uint64, window int, maxBytes int64) *exec.
 	ws.BatchSize = e.batchSize
 	ws.Slabs = e.slabs
 	ws.MaxBytes = maxBytes
-	ws.DisableKernels = e.noKernels
 	return ws
 }
 

@@ -10,7 +10,8 @@ package repro_test
 // testdata/golden6.json and replays representative query shapes
 // (quickstart aggregate, Fig. 2 self-join, grouped aggregation with
 // HAVING, tail sampling, deterministic-prefix join, tail sampling over the
-// self-join's shared seeds) across the full configuration grid.
+// self-join's shared seeds, tail sampling over the TPC-H-like join's
+// residual forms) across the full configuration grid.
 //
 // Regenerate the golden file with MCDBR_UPDATE_GOLDEN=1 go test -run
 // TestBitIdentityGolden — only ever from a known-good executor.
@@ -223,6 +224,57 @@ DOMAIN inv >= QUANTILE(0.95)`)
 	return out
 }
 
+// goldenTailResidualForms runs Gibbs tail sampling over the App. D
+// TPC-H-like join, where about ten lineitem tuples read each order's
+// seed, in four shapes: a bare SUM, a scaled-and-shifted SUM, the same
+// join as a lower tail, and a COUNT under a random WHERE (presence
+// vectors). The window of 16 sends the rejection sampler past the
+// materialized values. Each query's samples, quantile and per-step
+// rejection-sampling counters are appended, as in goldenTailSharedSeeds.
+func goldenTailResidualForms(t testing.TB, cfg goldenCfg) []float64 {
+	t.Helper()
+	tc := workload.TimingTPCH(10000) // 10 orders, 100 lineitems, 10 orphans
+	tc.Seed = 31
+	orders, lineitem, err := workload.TPCHLike(tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := mcdbr.New(cfg.opts(mcdbr.WithSeed(61), mcdbr.WithWindow(16))...)
+	e.RegisterTable(orders)
+	e.RegisterTable(lineitem)
+	if err := e.DefineRandomTable(mcdbr.RandomTable{
+		Name: "random_ord", ParamTable: "orders", VG: "Normal",
+		VGParams: []expr.Expr{expr.C("o_mean"), expr.C("o_var")},
+		Columns: []mcdbr.RandomCol{
+			{Name: "o_orderkey", FromParam: "o_orderkey"},
+			{Name: "o_yr", FromParam: "o_yr"},
+			{Name: "val", VGOut: 0},
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	const join = "FROM random_ord AS r, lineitem AS l WHERE r.o_orderkey = l.l_orderkey AND (r.o_yr = 1994 OR r.o_yr = 1995)"
+	queries := []string{
+		"SELECT SUM(r.val) AS s " + join + " WITH RESULTDISTRIBUTION MONTECARLO(20) DOMAIN s >= QUANTILE(0.99)",
+		"SELECT SUM(r.val * l.l_qty + 1.0) AS s " + join + " WITH RESULTDISTRIBUTION MONTECARLO(20) DOMAIN s >= QUANTILE(0.99)",
+		"SELECT SUM(r.val) AS s " + join + " WITH RESULTDISTRIBUTION MONTECARLO(20) DOMAIN s <= QUANTILE(0.01)",
+		"SELECT COUNT(*) AS n " + join + " AND r.val > 1.5 WITH RESULTDISTRIBUTION MONTECARLO(20) DOMAIN n >= QUANTILE(0.95)",
+	}
+	var out []float64
+	for _, q := range queries {
+		res, err := e.ExecWithOptions(q, mcdbr.TailSampleOptions{TotalSamples: 90, ForceM: 3, MaxTriesPerUpdate: 200, Parallelism: cfg.workers})
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		tr := res.Tail
+		out = append(append(out, tr.Samples...), tr.QuantileEstimate)
+		for _, it := range tr.Diag.Iters {
+			out = append(out, float64(it.Candidates), float64(it.Accepts), float64(it.GiveUps))
+		}
+	}
+	return out
+}
+
 // goldenDetPrefix runs a query with a deterministic join prefix twice on
 // one engine, so the second run exercises the prefix cache when enabled;
 // both runs' samples participate in bit-identity.
@@ -278,6 +330,7 @@ var goldenCases = []struct {
 	{"tail_sampling", goldenTail},
 	{"det_prefix", goldenDetPrefix},
 	{"tail_shared_seeds", goldenTailSharedSeeds},
+	{"tail_residual_forms", goldenTailResidualForms},
 }
 
 // encodeBits renders samples as hex float64 bit patterns: the golden file

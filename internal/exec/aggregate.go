@@ -116,7 +116,13 @@ func (s AggSpec) Contribution(compiled *expr.Compiled, row types.Row, sign float
 	if s.Kind == AggCount {
 		return 0, 1, nil
 	}
-	v := compiled.Eval(row)
+	return s.ValueContribution(compiled.Eval(row), sign)
+}
+
+// ValueContribution is the contribution of a SUM or AVG whose aggregate
+// expression evaluated to v; the Gibbs looper's residuals evaluate the
+// expression themselves.
+func (s AggSpec) ValueContribution(v types.Value, sign float64) (float64, int64, error) {
 	if v.IsNull() {
 		return 0, 0, nil // SQL aggregates ignore NULLs
 	}
@@ -124,7 +130,9 @@ func (s AggSpec) Contribution(compiled *expr.Compiled, row types.Row, sign float
 	if !ok {
 		return 0, 0, fmt.Errorf("exec: aggregate expression %s produced %s, need numeric", s, v.Kind())
 	}
-	return sign * f, 1, nil
+	// The conversion keeps a caller's accumulation from fusing with the
+	// product.
+	return float64(sign * f), 1, nil
 }
 
 // Aggregate is the plan-root physical operator of an aggregation query.
@@ -797,6 +805,7 @@ func (ev *AggEval) interpLanes(ws *Workspace, tu *bundle.Tuple, present []bool, 
 		if !ok {
 			continue
 		}
+		//mcdbr:kernelfallback ok(no usable kernel for this tuple and expression; the interpreter fills its lanes)
 		row, _, err := tu.Eval(bundle.Bind(ws.Seeds, v), ev.buf)
 		if err != nil {
 			return err

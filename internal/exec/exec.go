@@ -128,6 +128,9 @@ type Workspace struct {
 	// deterministic subtree outputs and the tuples consumers Retain. Operator iterators use pooled per-operator slabs
 	// instead, recycled per batch.
 	keep *bundle.Slab
+	// lineages is the unused rest of the chunk that Select presence
+	// lineages, which live as long as the workspace, are carved from.
+	lineages []bundle.Lineage
 	// pool recycles per-operator slabs across Open/Close cycles, so a
 	// re-opened plan (a join's build side, a second run on the same
 	// workspace) starts with warm chunks. ws.keep is never pooled: its
@@ -890,10 +893,18 @@ func (it *selectIter) Close() {
 func buildPresVec(ws *Workspace, tu *bundle.Tuple, refs []bundle.RandRef, pred *expr.Compiled, kern *expr.Kernel, scratch types.Row) (bundle.PresVec, error) {
 	seedID := refs[0].SeedID
 	w := &ws.Seeds.MustGet(seedID).Window
-	// The lineage outlives the batch: its Det is a heap copy, never the
-	// tuple's slab-carved row, and refs is the caller's reused buffer.
-	pv := bundle.PresVec{SeedID: seedID, Lo: w.Lo, Bits: make([]bool, len(w.Vals)),
-		Lineage: &bundle.Lineage{Pred: pred, Refs: slices.Clone(refs), Det: tu.Det.Clone()}}
+	// The lineage outlives the batch, so it is carved from run-lifetime
+	// storage, and its Det and Refs from the keep slab: never the tuple's
+	// batch row or the caller's reused refs buffer.
+	if len(ws.lineages) == 0 {
+		ws.lineages = make([]bundle.Lineage, 64)
+	}
+	lin := &ws.lineages[0]
+	ws.lineages = ws.lineages[1:]
+	*lin = bundle.Lineage{Pred: pred, Refs: ws.keep.RandRefs(len(refs)), Det: ws.keep.Row(len(tu.Det))}
+	copy(lin.Refs, refs)
+	copy(lin.Det, tu.Det)
+	pv := bundle.PresVec{SeedID: seedID, Lo: w.Lo, Bits: make([]bool, len(w.Vals)), Lineage: lin}
 	if kern != nil && len(w.Vals) > 0 {
 		ok, err := presBitsKernel(w, tu, refs, kern, pv.Bits)
 		if ok || err != nil {

@@ -215,6 +215,9 @@ func compileNode(e Expr, schema *types.Schema) (func(types.Row) types.Value, err
 			return nil, fmt.Errorf("expr: column %q not found in schema %s", n.Name, schema)
 		}
 		return func(r types.Row) types.Value { return r[idx] }, nil
+	case *Arg:
+		i := n.I
+		return func(r types.Row) types.Value { return r[i] }, nil
 	case *Neg:
 		inner, err := compileNode(n.Inner, schema)
 		if err != nil {

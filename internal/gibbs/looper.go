@@ -17,6 +17,13 @@
 // candidate beyond the window from the seed's prepared sampler, caches the
 // VG output rows of assigned positions beyond it, and answers presence
 // through each presence vector's lineage.
+//
+// Only the seeds' VG outputs change during a run, so the looper compiles
+// each retained tuple's aggregate contribution down to a residual over its
+// (seed, output) references once (residual.go), and the hot loops —
+// recomputeShard and affectedContrib — evaluate those instead of
+// rebuilding each tuple's row. Tuple.Eval on the full row is only the
+// fallback for tuples with presence vectors.
 package gibbs
 
 import (
@@ -30,6 +37,7 @@ import (
 	"repro/internal/bundle"
 	"repro/internal/exec"
 	"repro/internal/expr"
+	"repro/internal/seeds"
 	"repro/internal/types"
 )
 
@@ -164,6 +172,7 @@ type looper struct {
 	cfg  Config
 
 	rand       []*bundle.Tuple // retained tuples with random lineage, in plan order
+	resid      residuals       // each rand tuple's contribution as a function of its seeds' VG rows
 	seeds      seedIndex       // TS-seed handle -> rand tuples reading it
 	base       exec.AggState   // contribution of purely deterministic tuples
 	states     []exec.AggState // per-version aggregate state
@@ -294,7 +303,7 @@ func (lp *looper) loadTuples() error {
 	// Index the retained tuples by the seeds they read once; every Gibbs
 	// pass walks this index.
 	lp.seeds = buildSeedIndex(lp.rand)
-	return nil
+	return lp.compileResiduals()
 }
 
 // seedIndex maps TS-seed handles to the retained random tuples that read
@@ -341,9 +350,11 @@ func buildSeedIndex(tuples []*bundle.Tuple) seedIndex {
 	return ix
 }
 
-// contrib evaluates one tuple's aggregate contribution under a binding,
-// using buf as scratch; concurrent callers pass private rows.
+// contrib evaluates one tuple's aggregate contribution under a binding on
+// its full row, using buf as scratch; concurrent callers pass private rows.
+// It is the presence-vector fallback of residualContrib.
 func (lp *looper) contrib(tu *bundle.Tuple, b bundle.Binding, buf types.Row) (float64, int64, error) {
+	//mcdbr:kernelfallback ok(presence vectors have no residual yet)
 	row, present, err := tu.Eval(b, buf)
 	if err != nil {
 		return 0, 0, err
@@ -400,7 +411,9 @@ func (lp *looper) recomputeStates(nVersions int) error {
 	return nil
 }
 
-// recomputeShard fills states[lo:hi]. It only reads shared looper state.
+// recomputeShard fills states[lo:hi]: the base state plus every retained
+// tuple's residual contribution, in plan order. It only reads shared
+// looper state.
 func (lp *looper) recomputeShard(states []exec.AggState, lo, hi int, buf types.Row) error {
 	//mcdbr:hotpath
 	for v := lo; v < hi; v++ {
@@ -408,9 +421,8 @@ func (lp *looper) recomputeShard(states []exec.AggState, lo, hi int, buf types.R
 			return err
 		}
 		st := lp.base
-		b := bundle.Bind(lp.ws.Seeds, v)
-		for _, tu := range lp.rand {
-			s, c, err := lp.contrib(tu, b, buf)
+		for t := range lp.rand {
+			s, c, err := lp.residualContrib(t, v, nil, 0, nil, buf)
 			if err != nil {
 				return err
 			}
@@ -435,7 +447,7 @@ func (lp *looper) run() (*Result, error) {
 			return nil, fmt.Errorf("gibbs: DB version %d has a NaN query result; a VG function or aggregate expression produced a non-finite value", v)
 		}
 	}
-	res := &Result{}
+	res := &Result{Cutoffs: make([]float64, 0, cfg.M), Iters: make([]IterStats, 0, cfg.M)}
 	pi := math.Pow(cfg.P, 1/float64(cfg.M))
 	cutoff := math.Inf(-1)
 	//mcdbr:hotpath
@@ -524,9 +536,10 @@ func (lp *looper) pass(cutoff float64) error {
 		if err := lp.ws.Cancelled(); err != nil {
 			return err
 		}
+		seed := lp.ws.Seeds.MustGet(seedID)
 		tuples := ix.tuples[ix.offs[h]:ix.offs[h+1]]
 		for v := range lp.states {
-			if err := lp.updateSeedVersion(seedID, tuples, v, cutoff); err != nil {
+			if err := lp.updateSeedVersion(seed, tuples, v, cutoff); err != nil {
 				return err
 			}
 		}
@@ -539,11 +552,14 @@ func (lp *looper) pass(cutoff float64) error {
 // stream value, accept when the updated query result still meets the
 // cutoff. A candidate inside the window reads the window's row; one
 // beyond it is drawn once, into scratch, and an accepted one is cached
-// with its assignment.
-func (lp *looper) updateSeedVersion(seedID uint64, tuples []int, v int, cutoff float64) error {
-	seed := lp.ws.Seeds.MustGet(seedID)
-	cur := bundle.Bind(lp.ws.Seeds, v)
-	oldS, oldC, err := lp.affectedContrib(tuples, cur)
+// with its assignment. The current row and each candidate's row are
+// resolved once for all the tuples that read the seed.
+func (lp *looper) updateSeedVersion(seed *seeds.TSSeed, tuples []int, v int, cutoff float64) error {
+	cur, ok := seed.Row(v)
+	if !ok {
+		return fmt.Errorf("gibbs: seed %d position %d of version %d is neither materialized nor cached", seed.ID, seed.Assign[v], v)
+	}
+	old, err := lp.affectedContrib(seed, tuples, v, seed.Assign[v], cur)
 	if err != nil {
 		return err
 	}
@@ -564,13 +580,13 @@ func (lp *looper) updateSeedVersion(seedID uint64, tuples []int, v int, cutoff f
 			lp.stats.Candidates++
 		}
 		seed.MaxUsed = pos // consumed whether accepted or not (paper §6 item 4)
-		newS, newC, err := lp.affectedContrib(tuples, cur.WithOverride(seedID, pos, row))
+		upd, err := lp.affectedContrib(seed, tuples, v, pos, row)
 		if err != nil {
 			return err
 		}
 		st := lp.states[v]
-		st.Sum += newS - oldS
-		st.Count += newC - oldC
+		st.Sum += upd.Sum - old.Sum
+		st.Count += upd.Count - old.Count
 		if st.Value(lp.q.Agg.Kind) >= cutoff {
 			seed.SetAssign(v, pos, row)
 			lp.states[v] = st
@@ -589,18 +605,18 @@ func (lp *looper) updateSeedVersion(seedID uint64, tuples []int, v int, cutoff f
 }
 
 // affectedContrib sums the contributions of the Gibbs tuples associated
-// with the seed being updated; only these can change when the seed's
-// assignment changes, so the aggregate delta needs no full recomputation.
-func (lp *looper) affectedContrib(tuples []int, b bundle.Binding) (float64, int64, error) {
-	var s float64
-	var c int64
+// with the seed being updated, with the seed bound to stream position pos,
+// whose VG output row is row, in version v; only these can change when the
+// seed's assignment changes, so the aggregate delta needs no full
+// recomputation. A resX tuple reads its value straight from row.
+func (lp *looper) affectedContrib(seed *seeds.TSSeed, tuples []int, v int, pos uint64, row []types.Value) (exec.AggState, error) {
+	var st exec.AggState
 	for _, t := range tuples {
-		ds, dc, err := lp.contrib(lp.rand[t], b, lp.buf)
+		s, c, err := lp.residualContrib(t, v, seed, pos, row, lp.buf)
 		if err != nil {
-			return 0, 0, err
+			return st, err
 		}
-		s += ds
-		c += dc
+		st.Add(s, c)
 	}
-	return s, c, nil
+	return st, nil
 }

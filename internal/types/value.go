@@ -189,6 +189,16 @@ func (v Value) Equal(o Value) bool {
 	return false
 }
 
+// Identical reports whether v and o are the same value bit for bit: the
+// same kind and payload, floats compared by bit pattern (so -0 and 0
+// differ, and a NaN is identical to a NaN with the same bits).
+func (v Value) Identical(o Value) bool {
+	if v.kind == KindFloat {
+		return o.kind == KindFloat && math.Float64bits(v.f) == math.Float64bits(o.f)
+	}
+	return v == o
+}
+
 // Compare orders values: NULL < BOOL < numerics < STRING, numerics by
 // value. It returns -1, 0, or +1.
 func (v Value) Compare(o Value) int {

@@ -11,7 +11,8 @@ package repro_test
 // (quickstart aggregate, Fig. 2 self-join, grouped aggregation with
 // HAVING, tail sampling, deterministic-prefix join, tail sampling over the
 // self-join's shared seeds, tail sampling over the TPC-H-like join's
-// residual forms) across the full configuration grid.
+// residual forms, plain Monte Carlo over ragged tiles of replicates)
+// across the full configuration grid.
 //
 // Regenerate the golden file with MCDBR_UPDATE_GOLDEN=1 go test -run
 // TestBitIdentityGolden — only ever from a known-good executor.
@@ -275,6 +276,50 @@ func goldenTailResidualForms(t testing.TB, cfg goldenCfg) []float64 {
 	return out
 }
 
+// goldenMCTiled runs plain Monte Carlo with 1000 replicates, more than
+// one tile of replicates per shard at every worker count and never a
+// whole number of tiles, in three shapes: a grouped SUM under a random
+// WHERE (presence vectors) with HAVING, the Fig. 2 self-join with its
+// cross-seed final predicate, and a COUNT(*) under a random WHERE.
+func goldenMCTiled(t testing.TB, cfg goldenCfg) []float64 {
+	t.Helper()
+	const n = 1000
+	e := goldenGroupedEngine(t, cfg)
+	gd, err := e.Query().
+		From("losses", "l").From("grp", "grp").
+		Where(expr.B(expr.OpAnd,
+			expr.B(expr.OpEq, expr.C("l.cid"), expr.C("grp.cid")),
+			expr.B(expr.OpGt, expr.C("l.val"), expr.F(4.5)))).
+		SelectSumAs(expr.C("l.val"), "s").
+		GroupBy(expr.C("grp.g")).
+		Having(expr.B(expr.OpGt, expr.C("s"), expr.F(25))).
+		MonteCarloGrouped(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []float64
+	for i := range gd.Groups {
+		g := &gd.Groups[i]
+		out = append(out, float64(g.Key[0].Int()), g.Inclusion)
+		out = append(out, g.Dists[0].Samples...)
+	}
+	fig2 := goldenSalaryEngine(t, 4e6, cfg.opts(mcdbr.WithSeed(78))...)
+	res, err := fig2.Exec(fmt.Sprintf(`SELECT SUM(emp2.sal - emp1.sal) AS inv
+FROM emp AS emp1, emp AS emp2, sup
+WHERE sup.boss = emp1.eid AND sup.peon = emp2.eid AND emp2.sal > emp1.sal
+WITH RESULTDISTRIBUTION MONTECARLO(%d)`, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out = append(out, res.Dist.Samples...)
+	res, err = e.Exec(fmt.Sprintf(`SELECT COUNT(*) AS c FROM losses WHERE val > 5.5
+WITH RESULTDISTRIBUTION MONTECARLO(%d)`, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(out, res.Dist.Samples...)
+}
+
 // goldenDetPrefix runs a query with a deterministic join prefix twice on
 // one engine, so the second run exercises the prefix cache when enabled;
 // both runs' samples participate in bit-identity.
@@ -331,6 +376,7 @@ var goldenCases = []struct {
 	{"det_prefix", goldenDetPrefix},
 	{"tail_shared_seeds", goldenTailSharedSeeds},
 	{"tail_residual_forms", goldenTailResidualForms},
+	{"mc_tiled", goldenMCTiled},
 }
 
 // encodeBits renders samples as hex float64 bit patterns: the golden file

@@ -38,8 +38,9 @@ type RandRef struct {
 // stream element rather than per whole tuple).
 type PresVec struct {
 	SeedID uint64
-	// Lo and Bits mirror the seed window.
-	Lo   uint64
+	// Bits mirror the seed's current window: Bits[i] answers for the
+	// window's i-th position. Whoever moves the window (plain Monte
+	// Carlo's tiles) rebuilds the bits with it.
 	Bits []bool
 	// Lineage answers for positions outside Bits; nil means such
 	// positions are an error.
@@ -94,11 +95,12 @@ func (l *Lineage) present(seedID uint64, vals []types.Value, scratch types.Row) 
 	return l.Pred.EvalBool(row), nil
 }
 
-// At reports the predicate outcome for a stream position inside Bits; ok
-// is false outside them, where only the lineage can answer.
-func (p *PresVec) At(pos uint64) (present, ok bool) {
-	if pos >= p.Lo && pos < p.Lo+uint64(len(p.Bits)) {
-		return p.Bits[pos-p.Lo], true
+// At reports the predicate outcome for a stream position inside w, the
+// window of the vector's seed that Bits mirror; ok is false outside it,
+// where only the lineage can answer.
+func (p *PresVec) At(w *seeds.Window, pos uint64) (present, ok bool) {
+	if w.Contains(pos) {
+		return p.Bits[pos-w.Lo], true
 	}
 	return false, false
 }
@@ -208,7 +210,7 @@ func (t *Tuple) Eval(b Binding, buf types.Row) (row types.Row, present bool, err
 	for i := range t.Pres {
 		p := &t.Pres[i]
 		pos := b.Pos(p.SeedID)
-		bit, ok := p.At(pos)
+		bit, ok := p.At(&b.store.MustGet(p.SeedID).Window, pos)
 		if !ok {
 			if p.Lineage == nil {
 				return nil, false, fmt.Errorf("bundle: seed %d position %d outside the presence bits, with no lineage", p.SeedID, pos)

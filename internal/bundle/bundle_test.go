@@ -39,7 +39,10 @@ func testStore(t *testing.T, nSeeds, nVersions, window int) *seeds.Store {
 }
 
 func TestPresVecAt(t *testing.T) {
-	p := PresVec{SeedID: 1, Lo: 4, Bits: []bool{true, false}}
+	p := PresVec{SeedID: 1, Bits: []bool{true, false, true}}
+	// The bits mirror the window; a ragged window leaves trailing bits
+	// unread.
+	w := &seeds.Window{Lo: 4, N: 2, Width: 1, Vals: make([]types.Value, 2)}
 	cases := []struct {
 		pos         uint64
 		wantPresent bool
@@ -48,7 +51,7 @@ func TestPresVecAt(t *testing.T) {
 		{4, true, true}, {5, false, true}, {3, false, false}, {6, false, false},
 	}
 	for _, tc := range cases {
-		got, ok := p.At(tc.pos)
+		got, ok := p.At(w, tc.pos)
 		if got != tc.wantPresent || ok != tc.wantCovered {
 			t.Errorf("At(%d) = %v,%v want %v,%v", tc.pos, got, ok, tc.wantPresent, tc.wantCovered)
 		}
@@ -132,7 +135,7 @@ func TestEvalPresence(t *testing.T) {
 	st := testStore(t, 1, 4, 8)
 	tu := &Tuple{
 		Det:  types.Row{types.NewInt(1)},
-		Pres: []PresVec{{SeedID: 0, Lo: 0, Bits: []bool{true, false, true, false, true, true, true, true}}},
+		Pres: []PresVec{{SeedID: 0, Bits: []bool{true, false, true, false, true, true, true, true}}},
 	}
 	wantPresent := []bool{true, false, true, false}
 	for v := 0; v < 4; v++ {
@@ -175,7 +178,7 @@ func TestEvalBeyondWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel := &Tuple{Det: types.Row{types.NewInt(1)}, Pres: []PresVec{{SeedID: 0, Lo: 0, Bits: []bool{true, true, true, true},
+	sel := &Tuple{Det: types.Row{types.NewInt(1)}, Pres: []PresVec{{SeedID: 0, Bits: []bool{true, true, true, true},
 		Lineage: &Lineage{Pred: pred, Refs: []RandRef{{Slot: 0, SeedID: 0, Out: 0}}, Det: types.Row{types.Null}}}}}
 	if _, present, err := sel.Eval(Bind(st, 0), make(types.Row, 1)); err != nil || !present {
 		t.Fatalf("lineage at the cut: present=%v err=%v", present, err)
@@ -190,7 +193,7 @@ func TestEvalBeyondWindow(t *testing.T) {
 
 	// Split lineage: group 1 of {row100[1], 42}; other values error.
 	groups := []types.Value{types.NewFloat(42), row100[1]}
-	split := &Tuple{Det: types.Row{types.NewInt(1)}, Pres: []PresVec{{SeedID: 0, Lo: 0, Bits: make([]bool, 4),
+	split := &Tuple{Det: types.Row{types.NewInt(1)}, Pres: []PresVec{{SeedID: 0, Bits: make([]bool, 4),
 		Lineage: &Lineage{Out: 1, Group: 1, Groups: groups}}}}
 	if _, present, err := split.Eval(Bind(st, 0), nil); err != nil || !present {
 		t.Fatalf("split lineage, own group: present=%v err=%v", present, err)
@@ -203,7 +206,7 @@ func TestEvalBeyondWindow(t *testing.T) {
 	if _, _, err := split.Eval(Bind(st, 0).WithOverride(0, 9, unseen), nil); err == nil {
 		t.Fatal("a split value outside the enumerated groups must error, not drop the tuple")
 	}
-	bare := &Tuple{Det: types.Row{types.NewInt(1)}, Pres: []PresVec{{SeedID: 0, Lo: 0, Bits: make([]bool, 4)}}}
+	bare := &Tuple{Det: types.Row{types.NewInt(1)}, Pres: []PresVec{{SeedID: 0, Bits: make([]bool, 4)}}}
 	if _, _, err := bare.Eval(Bind(st, 0), nil); err == nil {
 		t.Fatal("a position outside the bits without lineage must error")
 	}

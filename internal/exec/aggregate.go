@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/bundle"
 	"repro/internal/expr"
+	"repro/internal/seeds"
 	"repro/internal/types"
 )
 
@@ -159,6 +160,7 @@ type Aggregate struct {
 	Having expr.Expr
 
 	schema *types.Schema
+	split  bool // the plan below holds a Split; see HasSplit
 }
 
 // NewAggregate builds the operator, validating the grouping and aggregate
@@ -186,7 +188,7 @@ func NewAggregate(child Node, groupBy []expr.Expr, groupNames []string, aggs []A
 			return nil, fmt.Errorf("exec: %s requires an aggregate expression", a.Kind)
 		}
 	}
-	agg := &Aggregate{Child: child, GroupBy: groupBy, GroupNames: groupNames, Aggs: aggs, Having: having}
+	agg := &Aggregate{Child: child, GroupBy: groupBy, GroupNames: groupNames, Aggs: aggs, Having: having, split: holdsSplit(child)}
 	cols := make([]types.Column, 0, len(groupBy)+len(aggs))
 	uniq := UniqueNamer()
 	for i, g := range groupBy {
@@ -615,8 +617,8 @@ func (ev *AggEval) included(g int, vals []float64) bool {
 
 // winEval is the window-major evaluator's per-run state (DESIGN.md §13):
 // one kernel per aggregate expression plus one for the final predicate,
-// and the version-indexed scratch lanes they accumulate into. All slices
-// are grown once and reused across groups and tuples.
+// and the version-indexed scratch lanes of one tile they accumulate into.
+// All slices are grown once and reused across tiles, groups and tuples.
 type winEval struct {
 	aggKerns  []*expr.Kernel // per aggregate; nil for COUNT(*) or an input that does not lower
 	finalKern *expr.Kernel   // nil without a final predicate or when it does not lower
@@ -627,6 +629,13 @@ type winEval struct {
 	sums      [][]float64 // per aggregate × version running state
 	counts    [][]int64
 	vals      []float64 // one version's aggregate values, for HAVING
+
+	// Tiling state, built at the first re-tile: the seeds the retained
+	// tuples read (drawn[id] marks them), and the interpreter's row
+	// scratch for presence bits.
+	seeds   []*seeds.TSSeed
+	drawn   []bool
+	presRow types.Row
 }
 
 func (we *winEval) ensure(n int) {
@@ -667,129 +676,225 @@ func (ev *AggEval) buildWinEval() {
 	ev.win = we
 }
 
+// HasSplit reports whether the plan below the aggregate holds a Split. A
+// Split enumerates its groups from the distinct values of the window it
+// sees, so such a plan cannot be evaluated one tile of replicates at a
+// time.
+func (a *Aggregate) HasSplit() bool { return a.split }
+
+func holdsSplit(n Node) bool {
+	if _, ok := n.(*Split); ok {
+		return true
+	}
+	for _, c := range n.Children() {
+		if holdsSplit(c) {
+			return true
+		}
+	}
+	return false
+}
+
 // EvalWindow computes out[g][a][v] for all n versions in a single
 // window-major pass: per random tuple, the aggregate inputs and the final
-// predicate are evaluated across the tuple's whole replicate window at
-// once (the versions live contiguously in the seed window arena), and
-// results accumulate into per-version running sums. Each expression's
-// lanes come from its kernel, or — when it has none, its result kind is
-// string, or the tuple's values contradict the kernel's static kinds —
-// from the interpreter, version by version over the rows EvalVersion
-// evaluates. Per (group, aggregate, version) the additions happen in
-// exactly the order EvalVersion performs them — deterministic base
-// first, then random tuples in plan order — so the results are
-// bit-for-bit identical. include is EvalVersion's HAVING output widened
-// to the window (include[g][v], pre-sized [NumGroups][n]); nil when the
-// query has no HAVING. Once a group's lanes are final, each version's
-// values go through the same include step as EvalVersion — HAVING runs
-// per group per version on finished aggregates, so it needs no kernel.
+// predicate are evaluated across a whole tile of versions at once (the
+// versions live contiguously in the seed window arenas), and results
+// accumulate into per-version running sums. Each expression's lanes come
+// from its kernel, or — when it has none, its result kind is string, or
+// the tuple's values contradict the kernel's static kinds — from the
+// interpreter, version by version over the rows EvalVersion evaluates.
+// Per (group, aggregate, version) the additions happen in exactly the
+// order EvalVersion performs them — deterministic base first, then random
+// tuples in plan order — so the results are bit-for-bit identical.
+// include is EvalVersion's HAVING output widened to the versions
+// (include[g][v], pre-sized [NumGroups][n]); nil when the query has no
+// HAVING. Once a group's lanes are final, each version's values go
+// through the same include step as EvalVersion — HAVING runs per group
+// per version on finished aggregates, so it needs no kernel.
 //
-// ws must hold the identity layout a ShardWorkspace has: version v of
-// every seed is stream position ws.Base+v, inside the seed's window and
-// its presence bits. n beyond the workspace window is an error.
+// ws must hold the identity layout a ShardWorkspace has: every seed's
+// window starts at ws.Base, and version v of every seed is stream
+// position ws.Base+v, for at least the first min(n, ws.Window) versions.
+// More versions than the window are walked in tiles of ws.Window: before
+// each tile after the first, every seed the retained tuples read is
+// re-drawn over the tile's positions into its own window arena, its
+// versions are re-assigned to them, and every Select presence vector's
+// bits are rebuilt for the tile. The seeds are left on the last tile. A
+// plan holding a Split is never tiled (Aggregate.HasSplit): n beyond its
+// window is an error.
 func (ev *AggEval) EvalWindow(ws *Workspace, n int, out [][][]float64, include [][]bool) error {
+	tile := n
 	if n > ws.Window {
-		return fmt.Errorf("exec: %d versions exceed the workspace window of %d", n, ws.Window)
+		if ev.agg.HasSplit() {
+			return fmt.Errorf("exec: %d versions exceed the workspace window of %d, and a plan with a Split cannot be tiled", n, ws.Window)
+		}
+		tile = ws.Window
 	}
 	if ev.win == nil {
 		ev.buildWinEval()
 	}
 	we := ev.win
-	we.ensure(n)
-	for g := range ev.groups {
-		grp := &ev.groups[g]
-		for a := range ev.agg.Aggs {
-			sums, counts, b := we.sums[a], we.counts[a], grp.base[a]
-			for v := 0; v < n; v++ {
-				sums[v] = b.Sum
-				counts[v] = b.Count
-			}
-		}
-		//mcdbr:hotpath
-		for _, tu := range grp.rand {
-			if err := ws.Cancelled(); err != nil {
+	we.ensure(tile)
+	for t0 := 0; t0 < n; t0 += tile {
+		m := min(tile, n-t0)
+		if t0 > 0 {
+			if err := ev.retile(ws, t0, m); err != nil {
 				return err
 			}
-			present := we.present[:n]
-			for v := range present {
-				present[v] = true
-			}
-			for _, p := range tu.Pres {
-				off := int(ws.Seeds.MustGet(p.SeedID).Assign[0] - p.Lo)
-				for v, bit := range p.Bits[off : off+n] {
-					if !bit {
-						present[v] = false
-					}
+		}
+		for g := range ev.groups {
+			grp := &ev.groups[g]
+			for a := range ev.agg.Aggs {
+				sums, counts, b := we.sums[a], we.counts[a], grp.base[a]
+				for v := 0; v < m; v++ {
+					sums[v] = b.Sum
+					counts[v] = b.Count
 				}
 			}
-			// The interpreter surfaces a malformed VG-output reference as an
-			// error for any version where the tuple passes its presence
-			// checks (Tuple.Eval checks Pres before filling Rand); mirror
-			// that before evaluating anything.
-			for _, r := range tu.Rand {
-				s := ws.Seeds.MustGet(r.SeedID)
-				rows := s.Window.Vals[s.Assign[0]-s.Window.Lo:]
-				for v := 0; v < n; v++ {
-					if present[v] && r.Out >= len(rows[v]) {
-						return fmt.Errorf("bundle: seed %d output %d of %d", r.SeedID, r.Out, len(rows[v]))
-					}
-				}
-			}
-			if ev.final != nil {
-				if k := we.finalKern; k != nil && we.gather(ws, tu, k, n) {
-					k.EvalMask(we.fmask)
-				} else if err := ev.interpLanes(ws, tu, present, func(v int, row types.Row) error {
-					we.fmask[v] = ev.final.EvalBool(row)
-					return nil
-				}); err != nil {
+			//mcdbr:hotpath
+			for _, tu := range grp.rand {
+				if err := ws.Cancelled(); err != nil {
 					return err
 				}
-				for v := 0; v < n; v++ {
-					if !we.fmask[v] {
-						present[v] = false
+				present := we.present[:m]
+				for v := range present {
+					present[v] = true
+				}
+				for _, p := range tu.Pres {
+					for v, bit := range p.Bits[:m] {
+						if !bit {
+							present[v] = false
+						}
+					}
+				}
+				// The interpreter surfaces a malformed VG-output reference as
+				// an error for any version where the tuple passes its presence
+				// checks (Tuple.Eval checks Pres before filling Rand); mirror
+				// that before evaluating anything.
+				for _, r := range tu.Rand {
+					if w := &ws.Seeds.MustGet(r.SeedID).Window; r.Out >= w.Width {
+						for _, ok := range present {
+							if ok {
+								return fmt.Errorf("bundle: seed %d output %d of %d", r.SeedID, r.Out, w.Width)
+							}
+						}
+					}
+				}
+				if ev.final != nil {
+					if k := we.finalKern; k != nil && we.gather(ws, tu, k, m) {
+						k.EvalMask(we.fmask)
+					} else if err := ev.interpLanes(ws, tu, present, func(v int, row types.Row) error {
+						we.fmask[v] = ev.final.EvalBool(row)
+						return nil
+					}); err != nil {
+						return err
+					}
+					for v := 0; v < m; v++ {
+						if !we.fmask[v] {
+							present[v] = false
+						}
+					}
+				}
+				for a, spec := range ev.agg.Aggs {
+					sums, counts := we.sums[a], we.counts[a]
+					if spec.Kind == AggCount {
+						for v := 0; v < m; v++ {
+							if present[v] {
+								counts[v]++
+							}
+						}
+						continue
+					}
+					k := we.aggKerns[a]
+					if k == nil || !we.gather(ws, tu, k, m) || !k.EvalNumeric(we.val, we.vnull) {
+						if err := ev.interpLanes(ws, tu, present, func(v int, row types.Row) error {
+							s, c, err := spec.Contribution(ev.aggExprs[a], row, 1)
+							we.val[v], we.vnull[v] = s, c == 0
+							return err
+						}); err != nil {
+							return err
+						}
+					}
+					for v := 0; v < m; v++ {
+						if present[v] && !we.vnull[v] {
+							sums[v] += we.val[v]
+							counts[v]++
+						}
 					}
 				}
 			}
 			for a, spec := range ev.agg.Aggs {
-				sums, counts := we.sums[a], we.counts[a]
-				if spec.Kind == AggCount {
-					for v := 0; v < n; v++ {
-						if present[v] {
-							counts[v]++
-						}
-					}
-					continue
+				dst, sums, counts := out[g][a][t0:t0+m], we.sums[a], we.counts[a]
+				for v := range dst {
+					dst[v] = AggState{Sum: sums[v], Count: counts[v]}.Value(spec.Kind)
 				}
-				k := we.aggKerns[a]
-				if k == nil || !we.gather(ws, tu, k, n) || !k.EvalNumeric(we.val, we.vnull) {
-					if err := ev.interpLanes(ws, tu, present, func(v int, row types.Row) error {
-						s, c, err := spec.Contribution(ev.aggExprs[a], row, 1)
-						we.val[v], we.vnull[v] = s, c == 0
-						return err
-					}); err != nil {
-						return err
+			}
+			if include != nil {
+				for v := 0; v < m; v++ {
+					for a := range we.vals {
+						we.vals[a] = out[g][a][t0+v]
 					}
-				}
-				for v := 0; v < n; v++ {
-					if present[v] && !we.vnull[v] {
-						sums[v] += we.val[v]
-						counts[v]++
-					}
+					include[g][t0+v] = ev.included(g, we.vals)
 				}
 			}
 		}
-		for a, spec := range ev.agg.Aggs {
-			dst, sums, counts := out[g][a], we.sums[a], we.counts[a]
-			for v := 0; v < n; v++ {
-				dst[v] = AggState{Sum: sums[v], Count: counts[v]}.Value(spec.Kind)
+	}
+	return nil
+}
+
+// retile moves the workspace to the tile of m versions starting at
+// version t0 (stream positions ws.Base+t0 onwards): every seed the
+// retained tuples read is re-drawn into its window arena and its first m
+// versions assigned to the tile's positions, and every Select presence
+// vector over such a seed is rebuilt for the tile. With prepared samplers
+// and kernels it allocates nothing after the first call.
+func (ev *AggEval) retile(ws *Workspace, t0, m int) error {
+	we := ev.win
+	if we.drawn == nil {
+		we.drawn = make([]bool, ws.Seeds.Len())
+		count := 0
+		mark := func(id uint64) {
+			if !we.drawn[id] {
+				we.drawn[id] = true
+				count++
 			}
 		}
-		if include != nil {
-			for v := 0; v < n; v++ {
-				for a := range we.vals {
-					we.vals[a] = out[g][a][v]
+		for g := range ev.groups {
+			for _, tu := range ev.groups[g].rand {
+				for _, r := range tu.Rand {
+					mark(r.SeedID)
 				}
-				include[g][v] = ev.included(g, we.vals)
+				for _, p := range tu.Pres {
+					mark(p.SeedID)
+				}
+			}
+		}
+		we.seeds = make([]*seeds.TSSeed, 0, count)
+		for id, ok := range we.drawn {
+			if ok {
+				we.seeds = append(we.seeds, ws.Seeds.MustGet(uint64(id)))
+			}
+		}
+	}
+	lo := ws.Base + uint64(t0)
+	for _, s := range we.seeds {
+		if err := s.Materialize(lo, m, nil); err != nil {
+			return err
+		}
+		for v := range s.Assign[:m] {
+			s.Assign[v] = lo + uint64(v)
+		}
+	}
+	for _, chunk := range ws.presence {
+		for i := range chunk {
+			sp := &chunk[i]
+			if !we.drawn[sp.seedID] {
+				continue
+			}
+			if len(we.presRow) < len(sp.lin.Det) {
+				we.presRow = make(types.Row, len(sp.lin.Det))
+			}
+			if err := sp.fill(&ws.Seeds.MustGet(sp.seedID).Window, we.presRow); err != nil {
+				return err
 			}
 		}
 	}
@@ -819,12 +924,12 @@ func (ev *AggEval) interpLanes(ws *Workspace, tu *bundle.Tuple, present []bool, 
 
 // gather loads one tuple's inputs into a kernel's column lanes: version v
 // reads the tuple's deterministic values with each random slot overlaid
-// by its seed's window row at position Assign[0]+v. Deterministic slots
-// broadcast once; a random slot with a version whose VG output row is too
-// short is skipped (such versions are always masked absent — gather runs
-// after the bounds check above). False means a gathered value contradicts
-// the kernel's static kinds, and the caller fills this tuple's lanes from
-// the interpreter instead.
+// by its seed's window row v. Deterministic slots broadcast once; a random
+// slot is one strided column of the seed's window arena, skipped when the
+// VG output row is too short (such versions are always masked absent —
+// gather runs after the bounds check above). False means a gathered value
+// contradicts the kernel's static kinds, and the caller fills this
+// tuple's lanes from the interpreter instead.
 func (we *winEval) gather(ws *Workspace, tu *bundle.Tuple, k *expr.Kernel, n int) bool {
 	k.Begin(n)
 	for _, col := range k.Cols() {
@@ -842,15 +947,12 @@ func (we *winEval) gather(ws *Workspace, tu *bundle.Tuple, k *expr.Kernel, n int
 			continue
 		}
 		r := tu.Rand[ri]
-		s := ws.Seeds.MustGet(r.SeedID)
-		off := s.Assign[0] - s.Window.Lo
-		for v, row := range s.Window.Vals[off : off+uint64(n)] {
-			if r.Out >= len(row) {
-				continue // masked absent by the caller's bounds check
-			}
-			if !col.Set(v, row[r.Out]) {
-				return false
-			}
+		w := &ws.Seeds.MustGet(r.SeedID).Window
+		if r.Out >= w.Width {
+			continue // masked absent by the caller's bounds check
+		}
+		if !col.Gather(n, w.Vals, r.Out, w.Width) {
+			return false
 		}
 	}
 	return true

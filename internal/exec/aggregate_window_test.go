@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -55,32 +56,42 @@ type windowCase struct {
 	name          string
 	x             expr.Expr // aggregate input
 	final, having expr.Expr // nil: none
-	window        int       // workspace window; 0 means n
+	n             int       // versions; 0 means 48
+	window        int       // workspace window of the EvalWindow run; 0 means n
 	wantErr       bool      // EvalWindow and EvalVersion must fail with the same text
 }
 
 // checkWindow evaluates every version through the EvalVersion reference
-// and then the whole window through EvalWindow, and fails on any
-// difference in sample bits, HAVING include flags or error text. Each
-// group holds one random tuple that is absent in some versions (COUNT 0,
-// SUM 0, AVG -Inf there). A HAVING clause must split the versions, or the
-// include comparison proves nothing.
+// and then all versions through EvalWindow, and fails on any difference
+// in sample bits, HAVING include flags or error text. Each group holds
+// one random tuple that is absent in some versions (COUNT 0, SUM 0, AVG
+// -Inf there). A HAVING clause must split the versions, or the include
+// comparison proves nothing. With a window smaller than n, EvalWindow
+// walks the versions in tiles of that window on its own workspace, and
+// must also match, bit for bit, an untiled EvalWindow run on a workspace
+// whose window holds all n versions (the one EvalVersion reads).
 func checkWindow(t *testing.T, tc windowCase) {
-	const n = 48
+	n := tc.n
+	if n == 0 {
+		n = 48
+	}
 	window := tc.window
 	if window == 0 {
 		window = n
 	}
-	ws := NewWorkspace(windowCatalog(), prng.NewStream(9), window)
-	ev, err := windowAggregate(t, ws, tc.x, tc.having).OpenEval(ws, tc.final)
-	if err != nil {
-		t.Fatal(err)
+	open := func(window int) (*Workspace, *AggEval) {
+		ws := NewWorkspace(windowCatalog(), prng.NewStream(9), window)
+		ev, err := windowAggregate(t, ws, tc.x, tc.having).OpenEval(ws, tc.final)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws.Seeds.InitAssignAt(ws.Base, min(n, window))
+		if ev.NumGroups() != 3 {
+			t.Fatalf("groups = %d", ev.NumGroups())
+		}
+		return ws, ev
 	}
-	ws.Seeds.InitAssignAt(ws.Base, n)
-	nG, nA := ev.NumGroups(), 3
-	if nG != 3 {
-		t.Fatalf("groups = %d", nG)
-	}
+	nG, nA := 3, 3
 	alloc := func() ([][][]float64, [][]bool) {
 		out := make([][][]float64, nG)
 		for g := range out {
@@ -98,15 +109,39 @@ func checkWindow(t *testing.T, tc windowCase) {
 		}
 		return out, incl
 	}
-
-	got, gotIncl := alloc()
-	winErr := ev.EvalWindow(ws, n, got, gotIncl)
-	if window < n {
-		// EvalVersion reads no window lanes, so it has nothing to compare.
-		if winErr == nil {
-			t.Fatalf("EvalWindow over %d versions of a %d-version window succeeded", n, window)
+	same := func(what string, got, want [][][]float64, gotIncl, wantIncl [][]bool) {
+		t.Helper()
+		for g := 0; g < nG; g++ {
+			for a := 0; a < nA; a++ {
+				for v := 0; v < n; v++ {
+					if math.Float64bits(got[g][a][v]) != math.Float64bits(want[g][a][v]) {
+						t.Fatalf("group %d agg %d version %d: window %v vs %s %v",
+							g, a, v, got[g][a][v], what, want[g][a][v])
+					}
+				}
+			}
+			for v := 0; wantIncl != nil && v < n; v++ {
+				if gotIncl[g][v] != wantIncl[g][v] {
+					t.Fatalf("group %d version %d: window include %v vs %s %v",
+						g, v, gotIncl[g][v], what, wantIncl[g][v])
+				}
+			}
 		}
-		return
+	}
+
+	wsWin, evWin := open(window)
+	got, gotIncl := alloc()
+	winErr := evWin.EvalWindow(wsWin, n, got, gotIncl)
+	ws, ev := open(n)
+	if window < n {
+		if winErr != nil {
+			t.Fatalf("tiled EvalWindow: %v", winErr)
+		}
+		untiled, untiledIncl := alloc()
+		if err := ev.EvalWindow(ws, n, untiled, untiledIncl); err != nil {
+			t.Fatalf("untiled EvalWindow: %v", err)
+		}
+		same("untiled", got, untiled, gotIncl, untiledIncl)
 	}
 	want, wantIncl := alloc()
 	vec := make([][]float64, nG)
@@ -140,26 +175,13 @@ func checkWindow(t *testing.T, tc windowCase) {
 	if winErr != nil || verErr != nil {
 		t.Fatalf("window error %v, version-major error %v", winErr, verErr)
 	}
-	for g := 0; g < nG; g++ {
-		for a := 0; a < nA; a++ {
-			for v := 0; v < n; v++ {
-				if math.Float64bits(got[g][a][v]) != math.Float64bits(want[g][a][v]) {
-					t.Fatalf("group %d agg %d version %d: window %v vs version-major %v",
-						g, a, v, got[g][a][v], want[g][a][v])
-				}
-			}
-		}
-	}
+	same("version-major", got, want, gotIncl, wantIncl)
 	if wantIncl == nil {
 		return
 	}
 	var in, out int
 	for g := 0; g < nG; g++ {
 		for v := 0; v < n; v++ {
-			if gotIncl[g][v] != wantIncl[g][v] {
-				t.Fatalf("group %d version %d: window include %v vs version-major %v",
-					g, v, gotIncl[g][v], wantIncl[g][v])
-			}
 			if wantIncl[g][v] {
 				in++
 			} else {
@@ -199,23 +221,81 @@ func TestEvalWindowMatchesEvalVersion(t *testing.T) {
 
 // TestEvalWindowFallbacks: lanes the kernels cannot fill come from the
 // interpreter, per tuple and expression, and still match EvalVersion bit
-// for bit — or fail with its error text; a window too small for n is an
-// error.
+// for bit — or fail with its error text; a window too small for n walks
+// the versions in tiles, presence bits, final predicate and interpreter
+// lanes included, and matches the untiled run bit for bit.
 func TestEvalWindowFallbacks(t *testing.T) {
 	weighted := expr.B(expr.OpMul, expr.C("losses.val"), expr.C("means.w"))
+	// cid 2's int weight contradicts the float lane of means.w in the
+	// final-predicate and both aggregate-input kernels; cids 1 and 3
+	// stay on the kernels.
+	final := expr.B(expr.OpLt, weighted, expr.F(4.5))
+	having := expr.B(expr.OpGt, expr.C("s"), expr.F(3.0))
 	for _, tc := range []windowCase{
-		// cid 2's int weight contradicts the float lane of means.w in the
-		// final-predicate and both aggregate-input kernels; cids 1 and 3
-		// stay on the kernels.
-		{name: "kind mismatch", x: weighted,
-			final:  expr.B(expr.OpLt, weighted, expr.F(4.5)),
-			having: expr.B(expr.OpGt, expr.C("s"), expr.F(3.0))},
+		{name: "kind mismatch", x: weighted, final: final, having: having},
 		// Every tuple is random, so the error surfaces from the per-version
 		// pass rather than from OpenEval's deterministic base.
 		{name: "string input", x: expr.S("loss"), wantErr: true},
-		{name: "window too small", x: expr.C("losses.val"), window: 16},
+		// Three whole tiles of 16, and a ragged 16 + 16 + 8.
+		{name: "window too small", x: weighted, final: final, having: having, window: 16},
+		{name: "window too small ragged", x: weighted, final: final, having: having, n: 40, window: 16},
 	} {
 		t.Run(tc.name, func(t *testing.T) { checkWindow(t, tc) })
+	}
+}
+
+// TestEvalWindowSplitNotTiled: a Split enumerates its groups from the
+// window, so an aggregate over a Split plan reports HasSplit and
+// EvalWindow refuses to tile it, while versions that fit its window run.
+func TestEvalWindowSplitNotTiled(t *testing.T) {
+	const window = 32
+	cat := testCatalog()
+	ws := NewWorkspace(cat, prng.NewStream(1), window)
+	scan, _ := NewScan(cat, "means", "means")
+	seed, err := NewSeed(scan, coinVG{}, nil, []string{"coin"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	split := &Split{Child: &Instantiate{Child: seed}, Col: "coin"}
+	agg, err := NewAggregate(split, []expr.Expr{expr.C("coin")}, []string{"coin"},
+		[]AggSpec{{Kind: AggCount, Name: "c"}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !agg.HasSplit() {
+		t.Fatal("HasSplit = false over a Split plan")
+	}
+	ev, err := agg.OpenEval(ws, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws.Seeds.InitAssignAt(ws.Base, window)
+	alloc := func(n int) [][][]float64 {
+		out := make([][][]float64, ev.NumGroups())
+		for g := range out {
+			out[g] = [][]float64{make([]float64, n)}
+		}
+		return out
+	}
+	if err := ev.EvalWindow(ws, window+1, alloc(window+1), nil); err == nil || !strings.Contains(err.Error(), "Split") {
+		t.Fatalf("EvalWindow over %d versions of a %d-version Split window: err = %v", window+1, window, err)
+	}
+	out := alloc(window)
+	if err := ev.EvalWindow(ws, window, out, nil); err != nil {
+		t.Fatal(err)
+	}
+	// Every version counts each customer in exactly one coin group.
+	for v := 0; v < window; v++ {
+		total := 0.0
+		for g := range out {
+			total += out[g][0][v]
+		}
+		if total != 3 {
+			t.Fatalf("version %d: %v customers over the coin groups, want 3", v, total)
+		}
+	}
+	if plain := windowAggregate(t, NewWorkspace(windowCatalog(), prng.NewStream(9), 8), expr.C("losses.val"), nil); plain.HasSplit() {
+		t.Fatal("HasSplit = true without a Split")
 	}
 }
 

@@ -84,7 +84,10 @@ type Workspace struct {
 	Seeds *seeds.Store
 	// Window is the number of stream values Instantiate materializes per
 	// seed (the paper's "1000 random values initially"). The looper draws
-	// positions beyond it on demand; there are no replenishing runs.
+	// positions beyond it on demand; there are no replenishing runs. Plain
+	// Monte Carlo over more replicates than the window walks them one
+	// window-sized tile at a time, re-drawing every seed's window in place
+	// (AggEval.EvalWindow).
 	Window int
 	// Base is the first stream position Instantiate materializes: the
 	// window covers [Base, Base+Window). It is 0
@@ -128,9 +131,12 @@ type Workspace struct {
 	// deterministic subtree outputs and the tuples consumers Retain. Operator iterators use pooled per-operator slabs
 	// instead, recycled per batch.
 	keep *bundle.Slab
-	// lineages is the unused rest of the chunk that Select presence
-	// lineages, which live as long as the workspace, are carved from.
-	lineages []bundle.Lineage
+	// presence records every Select presence vector built in the
+	// workspace, in chunks of 64 that never move once allocated: the
+	// vectors' lineages live in them, and plain Monte Carlo rebuilds the
+	// bits from them when it moves the seed windows to the next tile of
+	// replicates (AggEval.EvalWindow).
+	presence [][]selPres
 	// pool recycles per-operator slabs across Open/Close cycles, so a
 	// re-opened plan (a join's build side, a second run on the same
 	// workspace) starts with warm chunks. ws.keep is never pooled: its
@@ -883,6 +889,16 @@ func (it *selectIter) Close() {
 	}
 }
 
+// selPres is one Select presence vector's run-lifetime record: the
+// lineage its PresVec points at, the bits that mirror the seed's current
+// window, and the Select's kernel (nil: the interpreter) that fills them.
+type selPres struct {
+	lin    bundle.Lineage
+	seedID uint64
+	bits   []bool
+	kern   *expr.Kernel
+}
+
 // buildPresVec evaluates the predicate for every materialized position of
 // the (single) seed behind refs, substituting that position's VG outputs
 // into the referenced slots, and attaches the lineage that answers for
@@ -893,69 +909,84 @@ func (it *selectIter) Close() {
 func buildPresVec(ws *Workspace, tu *bundle.Tuple, refs []bundle.RandRef, pred *expr.Compiled, kern *expr.Kernel, scratch types.Row) (bundle.PresVec, error) {
 	seedID := refs[0].SeedID
 	w := &ws.Seeds.MustGet(seedID).Window
-	// The lineage outlives the batch, so it is carved from run-lifetime
-	// storage, and its Det and Refs from the keep slab: never the tuple's
-	// batch row or the caller's reused refs buffer.
-	if len(ws.lineages) == 0 {
-		ws.lineages = make([]bundle.Lineage, 64)
+	// The record outlives the batch, so it is carved from run-lifetime
+	// storage, and its lineage's Det and Refs from the keep slab: never
+	// the tuple's batch row or the caller's reused refs buffer.
+	last := len(ws.presence) - 1
+	if last < 0 || len(ws.presence[last]) == cap(ws.presence[last]) {
+		ws.presence = append(ws.presence, make([]selPres, 0, 64))
+		last++
 	}
-	lin := &ws.lineages[0]
-	ws.lineages = ws.lineages[1:]
-	*lin = bundle.Lineage{Pred: pred, Refs: ws.keep.RandRefs(len(refs)), Det: ws.keep.Row(len(tu.Det))}
-	copy(lin.Refs, refs)
-	copy(lin.Det, tu.Det)
-	pv := bundle.PresVec{SeedID: seedID, Lo: w.Lo, Bits: make([]bool, len(w.Vals)), Lineage: lin}
-	if kern != nil && len(w.Vals) > 0 {
-		ok, err := presBitsKernel(w, tu, refs, kern, pv.Bits)
+	chunk := &ws.presence[last]
+	*chunk = append(*chunk, selPres{
+		lin:    bundle.Lineage{Pred: pred, Refs: ws.keep.RandRefs(len(refs)), Det: ws.keep.Row(len(tu.Det))},
+		seedID: seedID,
+		bits:   make([]bool, w.N),
+		kern:   kern,
+	})
+	sp := &(*chunk)[len(*chunk)-1]
+	copy(sp.lin.Refs, refs)
+	copy(sp.lin.Det, tu.Det)
+	pv := bundle.PresVec{SeedID: seedID, Bits: sp.bits, Lineage: &sp.lin}
+	return pv, sp.fill(w, scratch)
+}
+
+// fill evaluates the Select predicate at every position of w, the seed's
+// current window, into the record's bits, through the kernel when it has
+// one and the gathered values fit its static kinds, else through the
+// interpreter. scratch must be at least as wide as the lineage's row.
+func (sp *selPres) fill(w *seeds.Window, scratch types.Row) error {
+	bits := sp.bits[:w.N]
+	if sp.kern != nil && len(bits) > 0 {
+		ok, err := presBitsKernel(w, &sp.lin, sp.kern, bits)
 		if ok || err != nil {
-			return pv, err
+			return err
 		}
 	}
-	row := scratch
-	copy(row, tu.Det)
-	for i, vals := range w.Vals {
-		for _, r := range refs {
+	row := scratch[:len(sp.lin.Det)]
+	copy(row, sp.lin.Det)
+	for i := range bits {
+		vals := w.Row(i)
+		for _, r := range sp.lin.Refs {
 			if r.Out >= len(vals) {
-				return pv, fmt.Errorf("exec: seed %d VG output %d of %d", seedID, r.Out, len(vals))
+				return fmt.Errorf("exec: seed %d VG output %d of %d", sp.seedID, r.Out, len(vals))
 			}
 			row[r.Slot] = vals[r.Out]
 		}
-		pv.Bits[i] = pred.EvalBool(row)
+		bits[i] = sp.lin.Pred.EvalBool(row)
 	}
-	return pv, nil
+	return nil
 }
 
-// presBitsKernel runs the Select predicate across a seed's contiguous
-// window segment through the fused kernel: one lane per version, the
-// tuple's deterministic slots broadcast once, the referenced VG outputs
-// gathered per version. Returns false — bits possibly part-written, the
-// caller re-runs the interpreter over all of them — when a gathered value
-// contradicts the kernel's static types. It errors only where the
+// presBitsKernel runs a Select predicate across a seed's window through
+// the fused kernel: one lane per version, the lineage's deterministic
+// slots broadcast once, each referenced VG output gathered as one strided
+// column of the window arena. Returns false — bits possibly part-written,
+// the caller re-runs the interpreter over all of them — when a gathered
+// value contradicts the kernel's static types. It errors only where the
 // interpreter would too (VG output index out of range).
-func presBitsKernel(w *seeds.Window, tu *bundle.Tuple, refs []bundle.RandRef, kern *expr.Kernel, bits []bool) (bool, error) {
-	n := len(w.Vals)
+func presBitsKernel(w *seeds.Window, lin *bundle.Lineage, kern *expr.Kernel, bits []bool) (bool, error) {
+	n := len(bits)
 	kern.Begin(n)
 	for _, col := range kern.Cols() {
 		slot := col.Slot()
 		out := -1
-		for _, r := range refs { // last match wins, like the interpreter's substitution loop
+		for _, r := range lin.Refs { // last match wins, like the interpreter's substitution loop
 			if r.Slot == slot {
 				out = r.Out
 			}
 		}
 		if out < 0 {
-			if !col.Fill(n, tu.Det[slot]) {
+			if !col.Fill(n, lin.Det[slot]) {
 				return false, nil
 			}
 			continue
 		}
-		for i, vals := range w.Vals {
-			if out >= len(vals) {
-				return false, fmt.Errorf("exec: seed %d VG output %d of %d", refs[0].SeedID, out, len(vals))
-			}
-			if !col.Set(i, vals[out]) {
-				return false, nil
-			}
+		if out >= w.Width {
+			return false, fmt.Errorf("exec: seed %d VG output %d of %d", lin.Refs[0].SeedID, out, w.Width)
+		}
+		if !col.Gather(n, w.Vals, out, w.Width) {
+			return false, nil
 		}
 	}
 	kern.EvalMask(bits)
@@ -1527,14 +1558,14 @@ func (it *splitIter) Next() (*Batch, error) {
 		// determinism.
 		groups := it.groups[:0]
 		var vals []types.Value
-		for i := range w.Vals {
-			v := w.Vals[i][ref.Out]
+		for i := 0; i < w.N; i++ {
+			v := w.Row(i)[ref.Out]
 			g := slices.IndexFunc(vals, v.Equal)
 			if g < 0 {
 				g = len(vals)
 				vals = append(vals, v)
 				groups = append(groups, splitGroup{val: v, pv: bundle.PresVec{
-					SeedID: ref.SeedID, Lo: w.Lo, Bits: make([]bool, len(w.Vals)),
+					SeedID: ref.SeedID, Bits: make([]bool, w.N),
 					Lineage: &bundle.Lineage{Out: ref.Out, Group: g},
 				}})
 			}

@@ -122,8 +122,8 @@ func TestSeedAndInstantiate(t *testing.T) {
 			t.Fatalf("tuple %d rand refs = %d", i, len(tu.Rand))
 		}
 		s := ws.Seeds.MustGet(tu.Rand[i*0].SeedID)
-		if len(s.Window.Vals) != 8 {
-			t.Fatalf("window size = %d", len(s.Window.Vals))
+		if s.Window.N != 8 {
+			t.Fatalf("window size = %d", s.Window.N)
 		}
 		// Seed parameters are the per-customer mean and variance 1.
 		wantMean := tu.Det[1].Float()
@@ -187,7 +187,7 @@ func TestSelectOnRandomAttrBuildsPresVec(t *testing.T) {
 		s := ws.Seeds.MustGet(pv.SeedID)
 		trueCount := 0
 		for i, b := range pv.Bits {
-			vals, _ := s.Window.Get(pv.Lo + uint64(i))
+			vals := s.Window.Row(i)
 			want := vals[0].Float() > s.Params[0].Float()
 			if b != want {
 				t.Fatalf("bit %d = %v, value %v mean %v", i, b, vals[0], s.Params[0])
@@ -398,7 +398,7 @@ func TestSplitConvertsRandomToPresence(t *testing.T) {
 		// Presence bits must match the window contents exactly.
 		s := ws.Seeds.MustGet(tu.Pres[0].SeedID)
 		for i, b := range tu.Pres[0].Bits {
-			vals, _ := s.Window.Get(tu.Pres[0].Lo + uint64(i))
+			vals := s.Window.Row(i)
 			if b != vals[0].Equal(tu.Det[2]) {
 				t.Fatalf("bit %d inconsistent with window", i)
 			}

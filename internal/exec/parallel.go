@@ -4,7 +4,8 @@
 // independently, on any worker, in any order. This file exploits that: the
 // N replicates are split into contiguous per-worker windows, each worker
 // gets a private Workspace over the shared read-only Catalog whose
-// Instantiate window covers exactly its shard, and shard results are merged
+// Instantiate window starts at its shard (and spans it, or one tile of it
+// in plain Monte Carlo), and shard results are merged
 // back in replicate order (the plain Monte Carlo round driver in
 // internal/gibbs does the fan-out and the merge). Because stream values,
 // seed allocation order, and per-replicate evaluation order are all
@@ -40,7 +41,8 @@ func Shards(n, workers int) [][2]int {
 // [lo, hi): same catalog and master stream as proto (so the deterministic
 // pipeline allocates identical TS-seeds with identical SplitMix64-derived
 // substreams), fresh seed store and cache, and an Instantiate window
-// covering exactly the shard's stream positions.
+// covering exactly the shard's stream positions (plain Monte Carlo
+// narrows it to one tile of them).
 func ShardWorkspace(proto *Workspace, lo, hi int) *Workspace {
 	ws := NewWorkspace(proto.Catalog, proto.Master, hi-lo)
 	ws.Base = uint64(lo)

@@ -157,6 +157,51 @@ func (c *KVec) Fill(n int, v types.Value) bool {
 	return true
 }
 
+// Gather writes rows [0, n) from a strided value arena: row i reads
+// vals[off+i*stride] — one column of a seed window's flat rows. It is n
+// Set calls with the kind switch hoisted out of the loop: NULLs set the
+// null lane, and it returns false at the first value whose kind
+// contradicts the column's, rows before it already written.
+func (c *KVec) Gather(n int, vals []types.Value, off, stride int) bool {
+	null := c.null[:n]
+	switch c.kind {
+	case types.KindFloat:
+		f := c.f[:n]
+		for i := range f {
+			v := &vals[off+i*stride]
+			switch v.Kind() {
+			case types.KindFloat:
+				f[i], null[i] = v.Float(), false
+			case types.KindNull:
+				null[i] = true
+			default:
+				return false
+			}
+		}
+		return true
+	case types.KindInt:
+		x := c.i[:n]
+		for i := range x {
+			v := &vals[off+i*stride]
+			switch v.Kind() {
+			case types.KindInt:
+				x[i], null[i] = v.Int(), false
+			case types.KindNull:
+				null[i] = true
+			default:
+				return false
+			}
+		}
+		return true
+	}
+	for i := 0; i < n; i++ {
+		if !c.Set(i, vals[off+i*stride]) {
+			return false
+		}
+	}
+	return true
+}
+
 func (c *KVec) grow(n int) {
 	growBools(&c.null, n)
 	switch c.kind {

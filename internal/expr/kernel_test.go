@@ -216,6 +216,75 @@ func TestKernelGatherMismatch(t *testing.T) {
 	}
 }
 
+// TestKernelGatherMatchesSet pins the strided bulk gather against per-row
+// Set, column by column over diffRows laid out as one flat arena (the
+// layout of a seed window): same lanes, same NULLs, and a kind mismatch
+// rejected by both.
+func TestKernelGatherMatchesSet(t *testing.T) {
+	schema := diffSchema()
+	rows := diffRows()
+	stride := schema.Len()
+	arena := make([]types.Value, 0, len(rows)*stride)
+	for _, r := range rows {
+		arena = append(arena, r...)
+	}
+	n := len(rows)
+	for c := 0; c < stride; c++ {
+		col := expr.C(schema.Col(c).Name)
+		var e expr.Expr = col
+		switch schema.Col(c).Kind {
+		case types.KindBool:
+			e = expr.B(expr.OpOr, col, expr.B(expr.OpEq, col, col))
+		case types.KindString:
+			e = expr.B(expr.OpEq, col, expr.S("a"))
+		}
+		kGather, err := expr.CompileKernel(e, schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kSet, _ := expr.CompileKernel(e, schema)
+		kGather.Begin(n)
+		kSet.Begin(n)
+		if len(kGather.Cols()) != 1 {
+			t.Fatalf("%s: %d columns", e, len(kGather.Cols()))
+		}
+		if !kGather.Cols()[0].Gather(n, arena, c, stride) {
+			t.Fatalf("%s: Gather rejected declared-kind values", e)
+		}
+		for i, r := range rows {
+			kSet.Cols()[0].Set(i, r[c])
+		}
+		gf, sf := make([]float64, n), make([]float64, n)
+		gn, sn := make([]bool, n), make([]bool, n)
+		if kGather.EvalNumeric(gf, gn) != kSet.EvalNumeric(sf, sn) {
+			t.Fatalf("%s: EvalNumeric disagrees on whether it applies", e)
+		}
+		gm, sm := make([]bool, n), make([]bool, n)
+		kGather.EvalMask(gm)
+		kSet.EvalMask(sm)
+		for i := 0; i < n; i++ {
+			if math.Float64bits(gf[i]) != math.Float64bits(sf[i]) || gn[i] != sn[i] || gm[i] != sm[i] {
+				t.Fatalf("%s row %d: Gather (%v %v %v) vs Set (%v %v %v)", e, i, gf[i], gn[i], gm[i], sf[i], sn[i], sm[i])
+			}
+		}
+		// A value of another kind in the middle of the column.
+		bad := types.NewString("x")
+		if schema.Col(c).Kind == types.KindString {
+			bad = types.NewInt(1)
+		}
+		saved := arena[7*stride+c]
+		arena[7*stride+c] = bad
+		wantOK := true
+		for i := 0; i < n && wantOK; i++ {
+			wantOK = kSet.Cols()[0].Set(i, arena[i*stride+c])
+		}
+		if got := kGather.Cols()[0].Gather(n, arena, c, stride); got != wantOK || got {
+			t.Fatalf("%s: Gather over a %s value = %v, Set = %v; want both false", e, bad.Kind(), got, wantOK)
+		}
+		arena[7*stride+c] = saved
+	}
+}
+
 // TestKernelUnknownColumn pins that kernel compilation fails exactly where
 // interpretation fails.
 func TestKernelUnknownColumn(t *testing.T) {

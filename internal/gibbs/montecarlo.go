@@ -50,28 +50,45 @@ type GroupedRuns struct {
 	Include [][]bool
 }
 
+// tileReplicates is how many replicates of a shard plain Monte Carlo
+// draws per seed at a time: the shard's seed windows hold one tile, and
+// AggEval.EvalWindow re-draws them in place for each next tile. On the
+// mc_grouped benchmark workload (500 seeds, 2048 replicates, 2 workers on
+// a 2-CPU machine), tiles of 64, 128 and 256 replicates ran equally fast
+// within run-to-run noise and 512 ran slower; smaller tiles use less
+// memory but repeat the per-tile work (a Materialize call per seed,
+// kernel set-up per tuple) more often.
+const tileReplicates = 256
+
 // monteCarloGrouped evaluates one replicate window of a grouped (and/or
 // multi-aggregate) query in a single pass: the plan below agg runs once,
 // its tuples are partitioned by their deterministic group key once, and
 // one window-major sweep (AggEval.EvalWindow, HAVING included) produces
 // the per-group aggregate vectors of all n repetitions. final is the
 // Gibbs-looper final predicate (paper App. A), applied to every tuple
-// before aggregation. ws must materialize exactly the window's stream
-// positions, as a ShardWorkspace does; the round driver
-// (MonteCarloGroupedAdaptive) is the only production caller.
+// before aggregation. ws's window must start at the shard's first
+// replicate and span its n replicates, as a ShardWorkspace's does; the
+// round driver (MonteCarloGroupedAdaptive) is the only production
+// caller. The plan runs with the window narrowed to one tile,
+// tileReplicates, so a seed's values never take more than a tile's
+// memory — except under a Split, which enumerates its groups from the
+// window and so keeps the whole shard in it.
 //
 // For a single ungrouped aggregate the per-repetition arithmetic is
 // identical, operation for operation, to MonteCarlo — deterministic
 // tuples accumulate first, then random tuples in plan order — so results
 // are bit-for-bit unchanged through this path.
 func monteCarloGrouped(ws *exec.Workspace, agg *exec.Aggregate, final expr.Expr, n int) (*GroupedRuns, error) {
+	if ws.Window > tileReplicates && !agg.HasSplit() {
+		ws.Window = tileReplicates
+	}
 	// Aggregate passes its child's stream through; OpenEval pulls it one
 	// batch at a time and partitions tuples by group key as they arrive.
 	ev, err := agg.OpenEval(ws, final)
 	if err != nil {
 		return nil, err
 	}
-	ws.Seeds.InitAssignAt(ws.Base, n)
+	ws.Seeds.InitAssignAt(ws.Base, min(n, ws.Window))
 	nG, nA := ev.NumGroups(), len(agg.Aggs)
 	out := &GroupedRuns{Keys: make([]types.Row, nG), Samples: make([][][]float64, nG)}
 	for g := 0; g < nG; g++ {

@@ -93,8 +93,8 @@ func TestResidualContribMatchesContrib(t *testing.T) {
 			}
 			for _, id := range lp.seeds.handles {
 				w := &ws.Seeds.MustGet(id).Window
-				w.Vals[1] = []types.Value{types.NewInt(4)}
-				w.Vals[2] = []types.Value{types.Null}
+				w.Row(1)[0] = types.NewInt(4)
+				w.Row(2)[0] = types.Null
 			}
 			rng := prng.NewSub(11)
 			// draw picks a stream position inside or beyond the window and

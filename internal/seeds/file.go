@@ -58,7 +58,7 @@ func (st *Store) Save(w io.Writer) error {
 		if err := write(s.Window.Lo); err != nil {
 			return err
 		}
-		if err := write(uint64(len(s.Window.Vals))); err != nil {
+		if err := write(uint64(s.Window.N)); err != nil {
 			return err
 		}
 		// The empty sparse list: Load redraws the rows of assigned

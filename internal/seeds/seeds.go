@@ -6,7 +6,10 @@
 // (seed, i), so a position outside the materialized window is drawn on
 // demand from the seed's prepared sampler; the VG output rows of assigned
 // positions beyond the window are cached per version, which is what lets
-// the looper run without the paper's §9 replenishing runs. Seeds are
+// the looper run without the paper's §9 replenishing runs. For the same
+// reason a window can be moved: plain Monte Carlo re-materializes each
+// seed's window one tile of replicates at a time into the seed's own
+// value arena, which the next tile overwrites. Seeds are
 // stored by handle, the order in which the looper visits them (the paper
 // merges this sorted store with a priority queue of Gibbs tuples; the
 // looper indexes its in-memory tuples by handle instead), and cloning a DB
@@ -15,7 +18,6 @@ package seeds
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/prng"
 	"repro/internal/types"
@@ -23,25 +25,38 @@ import (
 )
 
 // Window holds the materialized stream elements of one TS-seed: the
-// contiguous range the plan run's Instantiate operator generated.
+// contiguous range the plan run's Instantiate operator generated, or the
+// tile of replicates plain Monte Carlo is evaluating. The VG output rows
+// lie back to back in one flat arena, so a column of the window is a
+// strided walk over Vals.
 type Window struct {
 	// Lo is the first materialized position.
 	Lo uint64
-	// Vals[i] is the VG output row for position Lo+i.
-	Vals [][]types.Value
+	// N is the number of materialized positions.
+	N int
+	// Width is the VG output width: the stride of Vals.
+	Width int
+	// Vals holds N rows of Width values; the row for position Lo+i is
+	// Vals[i*Width : (i+1)*Width].
+	Vals []types.Value
+}
+
+// Row returns the VG output row of the window's i-th position.
+func (w *Window) Row(i int) []types.Value {
+	return w.Vals[i*w.Width : (i+1)*w.Width : (i+1)*w.Width]
 }
 
 // Get returns the VG output row at the given stream position.
 func (w *Window) Get(pos uint64) ([]types.Value, bool) {
-	if pos >= w.Lo && pos < w.Lo+uint64(len(w.Vals)) {
-		return w.Vals[pos-w.Lo], true
+	if w.Contains(pos) {
+		return w.Row(int(pos - w.Lo)), true
 	}
 	return nil, false
 }
 
 // Contains reports whether the position is materialized.
 func (w *Window) Contains(pos uint64) bool {
-	return pos >= w.Lo && pos < w.Lo+uint64(len(w.Vals))
+	return pos >= w.Lo && pos < w.Lo+uint64(w.N)
 }
 
 // TSSeed is one tail-sampling seed (paper §6): it identifies a stream of VG
@@ -75,14 +90,20 @@ type TSSeed struct {
 	Cancel func() error
 
 	// The output width, the prepared sampler (nil when Gen is not a
-	// vg.Preparer), its error, and the scratch substream Sample hands it;
-	// see prepare.
+	// vg.Preparer), its error, and the scratch substream Sample and
+	// Materialize hand it; see prepare.
 	prepared bool
 	nOut     int
 	sampler  vg.Sampler
 	prepErr  error
 	sub      prng.Sub
+	// rowChunk is the unused rest of the chunk that cached rows beyond
+	// the window are carved from (see carveRow).
+	rowChunk []types.Value
 }
+
+// rowChunkRows is how many cached rows one chunk of a seed holds.
+const rowChunkRows = 16
 
 // cancelCheckMask throttles Cancel polling to every 16Ki window elements:
 // frequent enough that a multi-million-element window aborts within
@@ -155,9 +176,13 @@ func (s *TSSeed) Sample(pos uint64, dst []types.Value) error {
 
 // Materialize replaces the window with the contiguous range [lo,
 // lo+count). sparse must be nil: positions outside the window are drawn on
-// demand (Sample) and, once assigned, cached in Rows. All output rows are
-// carved from one flat value arena, and with a prepared sampler the draws
-// themselves do not allocate, so a window costs O(1) allocations.
+// demand (Sample) and, once assigned, cached in Rows. The rows are drawn
+// into the window's flat value arena, reused when it is large enough, and
+// with a prepared sampler the draws themselves do not allocate: the first
+// window of a seed costs one allocation, and moving it to another range
+// no larger than the first costs none. Rows of the old window returned
+// earlier (Get, Row) are overwritten. A failed draw leaves the window
+// empty.
 func (s *TSSeed) Materialize(lo uint64, count int, sparse []uint64) error {
 	if sparse != nil {
 		return fmt.Errorf("seeds: seed %d: sparse windows are not supported; positions outside the window are drawn on demand", s.ID)
@@ -166,33 +191,35 @@ func (s *TSSeed) Materialize(lo uint64, count int, sparse []uint64) error {
 	if err != nil {
 		return fmt.Errorf("seeds: seed %d materialize pos %d: %w", s.ID, lo, err)
 	}
-	w := Window{Lo: lo, Vals: make([][]types.Value, count)}
-	arena := make([]types.Value, count*s.nOut)
+	w := &s.Window
+	size := count * s.nOut
+	if cap(w.Vals) < size {
+		w.Vals = make([]types.Value, size)
+	}
+	*w = Window{Lo: lo, Width: s.nOut, Vals: w.Vals[:size]}
 	// The fill loop calls the sampler directly rather than through Sample:
-	// it is plain Monte Carlo's hottest loop. sub is hoisted out of it, as
-	// a per-iteration variable's address would escape through the Sampler
-	// indirection and cost one allocation per element.
-	var sub prng.Sub
-	for i := range w.Vals {
+	// it is plain Monte Carlo's hottest loop.
+	for i := 0; i < count; i++ {
 		if i&cancelCheckMask == 0 {
 			if err := s.cancelled(); err != nil {
 				return err
 			}
 		}
 		pos := lo + uint64(i)
-		w.Vals[i] = arena[i*s.nOut : (i+1)*s.nOut : (i+1)*s.nOut]
+		row := w.Vals[i*s.nOut : (i+1)*s.nOut]
 		if sampler == nil {
-			if err := s.Sample(pos, w.Vals[i]); err != nil {
+			if err := s.Sample(pos, row); err != nil {
 				return err
 			}
 			continue
 		}
-		sub = s.Stream.SubAt(pos)
-		if err := sampler(&sub, w.Vals[i]); err != nil {
+		// s.sub, not a local: see Sample.
+		s.sub = s.Stream.SubAt(pos)
+		if err := sampler(&s.sub, row); err != nil {
 			return fmt.Errorf("seeds: seed %d materialize pos %d: %w", s.ID, pos, err)
 		}
 	}
-	s.Window = w
+	w.N = count
 	return nil
 }
 
@@ -220,7 +247,21 @@ func (s *TSSeed) SetAssign(v int, pos uint64, row []types.Value) {
 	if s.Rows == nil {
 		s.Rows = make([][]types.Value, len(s.Assign))
 	}
-	s.Rows[v] = slices.Clone(row)
+	s.Rows[v] = s.carveRow(len(row))
+	copy(s.Rows[v], row)
+}
+
+// carveRow returns n fresh values for a cached row, carved from the
+// seed's current chunk: a seed's cached rows cost one allocation per
+// rowChunkRows rows. Cached rows are never mutated once written, so
+// versions (CloneVersions) and chunks can share them.
+func (s *TSSeed) carveRow(n int) []types.Value {
+	if len(s.rowChunk) < n {
+		s.rowChunk = make([]types.Value, rowChunkRows*n)
+	}
+	row := s.rowChunk[:n:n]
+	s.rowChunk = s.rowChunk[n:]
+	return row
 }
 
 // FillRows draws the cached row of every assigned position outside the
@@ -231,7 +272,7 @@ func (s *TSSeed) FillRows() error {
 		if _, ok := s.Row(v); ok {
 			continue
 		}
-		row := make([]types.Value, s.NumOut())
+		row := s.carveRow(s.NumOut())
 		if err := s.Sample(pos, row); err != nil {
 			return err
 		}

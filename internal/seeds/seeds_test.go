@@ -48,7 +48,7 @@ func TestAllocAssignsSequentialHandles(t *testing.T) {
 }
 
 func TestWindowGet(t *testing.T) {
-	w := Window{Lo: 10, Vals: [][]types.Value{{types.NewFloat(1)}, {types.NewFloat(2)}}}
+	w := Window{Lo: 10, N: 2, Width: 1, Vals: []types.Value{types.NewFloat(1), types.NewFloat(2)}}
 	if v, ok := w.Get(10); !ok || v[0].Float() != 1 {
 		t.Fatal("Get(10) failed")
 	}
@@ -81,14 +81,49 @@ func TestMaterializeMatchesValueAt(t *testing.T) {
 	}
 }
 
+// TestMaterializeMovesWindow: moving a window to another range no larger
+// than its arena redraws it in place, without allocating, and matches
+// the unprepared Generate path, a ragged range included.
+func TestMaterializeMovesWindow(t *testing.T) {
+	st, _ := newTestStore(t, 1, 2)
+	s := st.MustGet(0)
+	for _, r := range []struct {
+		lo    uint64
+		count int
+	}{{16, 16}, {1000, 5}, {0, 16}} {
+		if allocs := testing.AllocsPerRun(1, func() {
+			if err := s.Materialize(r.lo, r.count, nil); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Fatalf("Materialize(%d, %d) allocated %v times", r.lo, r.count, allocs)
+		}
+		if s.Window.Lo != r.lo || s.Window.N != r.count {
+			t.Fatalf("window = [%d, +%d), want [%d, +%d)", s.Window.Lo, s.Window.N, r.lo, r.count)
+		}
+		if s.Window.Contains(r.lo + uint64(r.count)) {
+			t.Fatalf("window [%d, +%d) contains %d", r.lo, r.count, r.lo+uint64(r.count))
+		}
+		for pos := r.lo; pos < r.lo+uint64(r.count); pos++ {
+			want, err := s.ValueAt(pos)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, ok := s.Window.Get(pos); !ok || !got[0].Identical(want[0]) {
+				t.Fatalf("window pos %d = %v, want %v", pos, got, want)
+			}
+		}
+	}
+}
+
 func TestMaterializeRejectsSparse(t *testing.T) {
 	st, _ := newTestStore(t, 1, 4)
 	s := st.MustGet(0)
 	if err := s.Materialize(16, 8, []uint64{0, 1}); err == nil {
 		t.Fatal("a sparse position list must be rejected")
 	}
-	if s.Window.Lo != 0 || len(s.Window.Vals) != 16 {
-		t.Fatalf("rejected call changed the window: lo %d len %d", s.Window.Lo, len(s.Window.Vals))
+	if s.Window.Lo != 0 || s.Window.N != 16 {
+		t.Fatalf("rejected call changed the window: lo %d len %d", s.Window.Lo, s.Window.N)
 	}
 }
 
@@ -146,7 +181,7 @@ func TestRowCacheBeyondWindow(t *testing.T) {
 	if row, ok := s.Row(1); !ok || !row[0].Equal(far[0]) {
 		t.Fatalf("Row(1) = %v, %v; want %v", row, ok, far)
 	}
-	if row, _ := s.Row(2); !row[0].Equal(s.Window.Vals[5][0]) {
+	if row, _ := s.Row(2); !row[0].Equal(s.Window.Row(5)[0]) {
 		t.Fatal("an in-window assignment must read the window")
 	}
 	if err := st.CloneVersions([]int{1, 0}, 4); err != nil {

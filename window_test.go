@@ -1,8 +1,11 @@
 package repro_test
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -150,31 +153,7 @@ func TestTailWindowIndependence(t *testing.T) {
 // plan run's window. When the looper later draws a value that window
 // never produced, the query must fail loudly, never drop the tuple.
 func TestTailSplitValueOutsideWindow(t *testing.T) {
-	engine := func(window int) *mcdbr.Engine {
-		e := mcdbr.New(mcdbr.WithSeed(2), mcdbr.WithWindow(window), mcdbr.WithParallelism(1))
-		rc := storage.NewTable("riskclass", types.NewSchema(
-			types.Column{Name: "rid", Kind: types.KindFloat},
-			types.Column{Name: "premium", Kind: types.KindFloat},
-		))
-		rc.MustAppend(types.Row{types.NewFloat(0), types.NewFloat(10)})
-		rc.MustAppend(types.Row{types.NewFloat(1), types.NewFloat(1000)})
-		e.RegisterTable(rc)
-		cust := storage.NewTable("cust", types.NewSchema(types.Column{Name: "cid", Kind: types.KindInt}))
-		for i := 0; i < 4; i++ {
-			cust.MustAppend(types.Row{types.NewInt(int64(i))})
-		}
-		e.RegisterTable(cust)
-		// Class 1 is drawn once in 200: a window of 32 rarely holds it,
-		// one of 1<<14 always does.
-		if err := e.DefineRandomTable(mcdbr.RandomTable{
-			Name: "assignment", ParamTable: "cust", VG: "DiscreteChoice",
-			VGParams: []expr.Expr{expr.F(0), expr.F(0.995), expr.F(1), expr.F(0.005)},
-			Columns:  []mcdbr.RandomCol{{Name: "cid", FromParam: "cid"}, {Name: "class", VGOut: 0}},
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return e
-	}
+	engine := func(window int) *mcdbr.Engine { return riskClassEngine(t, 2, window, 1) }
 	const sql = `SELECT SUM(r.premium) AS s FROM assignment AS a, riskclass AS r
 WHERE a.class = r.rid
 WITH RESULTDISTRIBUTION MONTECARLO(20) DOMAIN s >= QUANTILE(0.99)`
@@ -188,6 +167,87 @@ WITH RESULTDISTRIBUTION MONTECARLO(20) DOMAIN s >= QUANTILE(0.99)`
 	for _, s := range res.Tail.Samples {
 		if s < res.Tail.QuantileEstimate {
 			t.Fatalf("sample %g below the quantile estimate %g", s, res.Tail.QuantileEstimate)
+		}
+	}
+}
+
+// riskClassEngine registers TestTailSplitValueOutsideWindow's schema: four
+// customers, each assigned risk class 0 (premium 10) or, once in 200
+// draws, class 1 (premium 1000). Joining on the random class makes the
+// plan Split on it.
+func riskClassEngine(t *testing.T, seed uint64, window, workers int) *mcdbr.Engine {
+	t.Helper()
+	e := mcdbr.New(mcdbr.WithSeed(seed), mcdbr.WithWindow(window), mcdbr.WithParallelism(workers))
+	rc := storage.NewTable("riskclass", types.NewSchema(
+		types.Column{Name: "rid", Kind: types.KindFloat},
+		types.Column{Name: "premium", Kind: types.KindFloat},
+	))
+	rc.MustAppend(types.Row{types.NewFloat(0), types.NewFloat(10)})
+	rc.MustAppend(types.Row{types.NewFloat(1), types.NewFloat(1000)})
+	e.RegisterTable(rc)
+	cust := storage.NewTable("cust", types.NewSchema(types.Column{Name: "cid", Kind: types.KindInt}))
+	for i := 0; i < 4; i++ {
+		cust.MustAppend(types.Row{types.NewInt(int64(i))})
+	}
+	e.RegisterTable(cust)
+	// Class 1 is drawn once in 200: a window of 32 rarely holds it,
+	// one of 1<<14 always does.
+	if err := e.DefineRandomTable(mcdbr.RandomTable{
+		Name: "assignment", ParamTable: "cust", VG: "DiscreteChoice",
+		VGParams: []expr.Expr{expr.F(0), expr.F(0.995), expr.F(1), expr.F(0.005)},
+		Columns:  []mcdbr.RandomCol{{Name: "cid", FromParam: "cid"}, {Name: "class", VGOut: 0}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// TestPlainMCSplitNotTiled: a Split enumerates its groups from the
+// distinct values of the window it sees, so plain Monte Carlo must not
+// cut a Split plan's replicate shard into tiles. With this seed, at one
+// and at two workers, every shard has a customer that draws only class 0
+// in the shard's first 256 replicates and class 1 later, which a Split
+// over a 256-replicate tile would not have enumerated. The samples' bits
+// are pinned (captured before plain Monte Carlo was tiled).
+func TestPlainMCSplitNotTiled(t *testing.T) {
+	const (
+		n    = 2000
+		tile = 256
+		want = 0x42eabfca5fc5aec6
+	)
+	sql := fmt.Sprintf(`SELECT SUM(r.premium) AS s FROM assignment AS a, riskclass AS r
+WHERE a.class = r.rid GROUP BY a.cid
+WITH RESULTDISTRIBUTION MONTECARLO(%d)`, n)
+	for _, workers := range []int{1, 2} {
+		res, err := riskClassEngine(t, 2, 1024, workers).Exec(sql)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		h := fnv.New64a()
+		for _, g := range res.Grouped.Groups {
+			samples := g.Dists[0].Samples
+			if len(samples) != n {
+				t.Fatalf("workers=%d group %v: %d samples, want %d", workers, g.Key, len(samples), n)
+			}
+			for _, s := range samples {
+				_ = binary.Write(h, binary.LittleEndian, math.Float64bits(s))
+			}
+		}
+		for w := 0; w < workers; w++ {
+			lo, hi := w*n/workers, (w+1)*n/workers
+			late := false
+			for _, g := range res.Grouped.Groups {
+				s := g.Dists[0].Samples
+				if !slices.Contains(s[lo:lo+tile], 1000) && slices.Contains(s[lo+tile:hi], 1000) {
+					late = true
+				}
+			}
+			if !late {
+				t.Fatalf("workers=%d: no customer of shard [%d, %d) draws class 1 only after the shard's first %d replicates; the seed no longer exercises an untiled Split", workers, lo, hi, tile)
+			}
+		}
+		if got := h.Sum64(); got != want {
+			t.Fatalf("workers=%d: samples hash %#x, want %#x", workers, got, want)
 		}
 	}
 }
